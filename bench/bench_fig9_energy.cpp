@@ -5,7 +5,11 @@
 // the LeNet CNN through the fixed-point engine: once per registered
 // kernel backend (scalar reference, blocked, SIMD — all must agree bit
 // for bit, dense and conv plans alike; any divergence exits 1, the CI
-// gate) and once through the batched multi-threaded runtime.
+// gate) and once through the batched multi-threaded runtime — and
+// traces the batch-as-lanes curve: per backend, ns/sample of the
+// digit MLP at B = 1..64 through the per-sample gather path, the
+// batched dense tail forced at every width, and infer_batch_into as
+// shipped (per-backend crossover), each checked bit for bit.
 // Fixed-iteration mode for CI via MAN_REPLAY_SAMPLES /
 // MAN_REPLAY_CNN_SAMPLES; per-backend timings land in MAN_BENCH_JSON
 // when set.
@@ -233,6 +237,264 @@ ReplayResult run_replay(const man::engine::FixedNetwork& engine,
   return result;
 }
 
+/// Delegates every kernel to `inner` but reports min_batch_lanes() 1,
+/// so infer_batch_into runs the batch-as-lanes tail at every tile
+/// width — the curve needs the batched cost below each crossover too.
+class ForcedBatchKernel final : public man::backend::KernelBackend {
+ public:
+  explicit ForcedBatchKernel(const KernelBackend& inner) : inner_(inner) {}
+  [[nodiscard]] man::backend::BackendKind kind() const noexcept override {
+    return inner_.kind();
+  }
+  [[nodiscard]] const char* name() const noexcept override {
+    return inner_.name();
+  }
+  [[nodiscard]] const char* description() const noexcept override {
+    return inner_.description();
+  }
+  [[nodiscard]] bool accelerated() const noexcept override {
+    return inner_.accelerated();
+  }
+  void accumulate_dense(const man::backend::DenseLayerPlan& plan,
+                        const std::int64_t* multiples,
+                        std::int64_t* out) const override {
+    inner_.accumulate_dense(plan, multiples, out);
+  }
+  void accumulate_dense_batch(const man::backend::DenseLayerPlan& plan,
+                              const std::int64_t* multiples, int lanes,
+                              int col_begin, int col_end,
+                              std::int64_t* out) const override {
+    inner_.accumulate_dense_batch(plan, multiples, lanes, col_begin, col_end,
+                                  out);
+  }
+  [[nodiscard]] int min_batch_lanes() const noexcept override { return 1; }
+  void exact_dense(const man::backend::DenseLayerPlan& plan,
+                   const std::int64_t* activations,
+                   std::int64_t* out) const override {
+    inner_.exact_dense(plan, activations, out);
+  }
+  void accumulate_conv(const man::backend::ConvLayerPlan& plan,
+                       const std::int64_t* multiples,
+                       std::int64_t* out) const override {
+    inner_.accumulate_conv(plan, multiples, out);
+  }
+  void exact_conv(const man::backend::ConvLayerPlan& plan,
+                  const std::int64_t* activations,
+                  std::int64_t* out) const override {
+    inner_.exact_conv(plan, activations, out);
+  }
+
+ private:
+  const KernelBackend& inner_;
+};
+
+/// Batch sizes the lanes curve samples (B = 1..64).
+constexpr std::size_t kCurveBatches[] = {1, 2, 3, 4, 5, 6, 7, 8,
+                                         10, 12, 16, 24, 32, 48, 64};
+
+struct CurvePoint {
+  std::size_t batch = 0;
+  double gather_ns = 0.0;   ///< infer_into per sample
+  double batched_ns = 0.0;  ///< batch-as-lanes tail at every width
+  double shipped_ns = 0.0;  ///< infer_batch_into as dispatched
+};
+
+struct BackendCurve {
+  std::string name;
+  int min_batch_lanes = 0;
+  std::size_t measured_crossover = 0;  ///< 0: batched never wins
+  std::vector<CurvePoint> points;
+};
+
+struct LanesCurve {
+  std::vector<BackendCurve> backends;
+  bool identical = true;
+};
+
+/// Best-of ns/sample of `run` (which infers `samples` samples): runs
+/// until at least 3 repetitions and 5 ms have passed, so one stalled
+/// repetition cannot set the point.
+template <typename Run>
+double best_ns_per_sample(Run&& run, std::size_t samples) {
+  double best = 0.0;
+  double total = 0.0;
+  for (int rep = 0; rep < 3 || total < 5e-3; ++rep) {
+    man::util::Stopwatch watch;
+    run();
+    const double seconds = watch.seconds();
+    total += seconds;
+    if (rep == 0 || seconds < best) best = seconds;
+  }
+  return best * 1e9 / static_cast<double>(samples);
+}
+
+bool same_stats(const man::engine::EngineStats& a,
+                const man::engine::EngineStats& b) {
+  if (a.inferences != b.inferences || a.layers.size() != b.layers.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.layers.size(); ++i) {
+    if (a.layers[i].macs != b.layers[i].macs ||
+        a.layers[i].bank_activations != b.layers[i].bank_activations ||
+        !(a.layers[i].ops == b.layers[i].ops)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The batch-as-lanes curve of one engine on every backend: ns/sample
+/// through the per-sample gather path, the batched tail forced at
+/// every width, and infer_batch_into as shipped. Outputs of both
+/// batched paths and the forced path's EngineStats must match the
+/// scalar per-sample reference; any divergence clears `identical`.
+LanesCurve run_lanes_curve(const man::engine::FixedNetwork& engine) {
+  const std::size_t max_batch = kCurveBatches[std::size(kCurveBatches) - 1];
+  const std::size_t in = engine.input_size();
+  const std::size_t out = engine.output_size();
+  man::util::Rng rng(1664);
+  std::vector<float> inputs(max_batch * in);
+  for (float& p : inputs) p = static_cast<float>(rng.next_double());
+
+  const auto& scalar =
+      man::backend::backend_for(man::backend::BackendKind::kScalar);
+  std::vector<std::int64_t> reference(max_batch * out);
+  {
+    auto scratch = engine.make_scratch();
+    auto stats = engine.make_stats();
+    for (std::size_t i = 0; i < max_batch; ++i) {
+      engine.infer_into(std::span<const float>(inputs).subspan(i * in, in),
+                        std::span<std::int64_t>(reference).subspan(i * out,
+                                                                   out),
+                        stats, scratch, scalar);
+    }
+  }
+
+  LanesCurve curve;
+  for (const auto* backend : man::backend::all_backends()) {
+    const ForcedBatchKernel forced(*backend);
+    BackendCurve row{backend->name(), backend->min_batch_lanes(), 0, {}};
+    auto scratch = engine.make_scratch();
+    std::vector<std::int64_t> raw(max_batch * out);
+    for (const std::size_t batch : kCurveBatches) {
+      const auto batch_in = std::span<const float>(inputs).first(batch * in);
+      const auto batch_out = std::span<std::int64_t>(raw).first(batch * out);
+      const auto expected =
+          std::span<const std::int64_t>(reference).first(batch * out);
+      CurvePoint point{batch, 0.0, 0.0, 0.0};
+
+      auto gather_stats = engine.make_stats();
+      point.gather_ns = best_ns_per_sample(
+          [&] {
+            for (std::size_t i = 0; i < batch; ++i) {
+              engine.infer_into(batch_in.subspan(i * in, in),
+                                batch_out.subspan(i * out, out),
+                                gather_stats, scratch, *backend);
+            }
+          },
+          batch);
+      curve.identical = curve.identical &&
+                        std::equal(expected.begin(), expected.end(),
+                                   batch_out.begin());
+
+      auto batched_stats = engine.make_stats();
+      point.batched_ns = best_ns_per_sample(
+          [&] {
+            batched_stats.reset();
+            engine.infer_batch_into(batch_in, batch_out, batched_stats,
+                                    scratch, forced);
+          },
+          batch);
+      curve.identical = curve.identical &&
+                        std::equal(expected.begin(), expected.end(),
+                                   batch_out.begin());
+      // One batched pass must charge exactly what `batch` per-sample
+      // passes do, or modeled energy would move.
+      auto per_sample_stats = engine.make_stats();
+      for (std::size_t i = 0; i < batch; ++i) {
+        engine.infer_into(batch_in.subspan(i * in, in),
+                          batch_out.subspan(i * out, out), per_sample_stats,
+                          scratch, *backend);
+      }
+      curve.identical =
+          curve.identical && same_stats(batched_stats, per_sample_stats);
+
+      auto shipped_stats = engine.make_stats();
+      point.shipped_ns = best_ns_per_sample(
+          [&] {
+            engine.infer_batch_into(batch_in, batch_out, shipped_stats,
+                                    scratch, *backend);
+          },
+          batch);
+      curve.identical = curve.identical &&
+                        std::equal(expected.begin(), expected.end(),
+                                   batch_out.begin());
+      row.points.push_back(point);
+    }
+    // Measured crossover: the smallest B from which the batched tail
+    // beats the gather path at every larger sampled B.
+    for (auto it = row.points.rbegin(); it != row.points.rend(); ++it) {
+      if (it->batched_ns >= it->gather_ns) break;
+      row.measured_crossover = it->batch;
+    }
+    curve.backends.push_back(std::move(row));
+  }
+
+  man::util::Table table({"Backend", "B", "gather ns/sample",
+                          "batched ns/sample", "shipped ns/sample",
+                          "batched speedup"});
+  for (const BackendCurve& row : curve.backends) {
+    for (const CurvePoint& point : row.points) {
+      table.add_row(
+          {row.name, std::to_string(point.batch),
+           man::util::format_double(point.gather_ns, 0),
+           man::util::format_double(point.batched_ns, 0),
+           man::util::format_double(point.shipped_ns, 0),
+           man::util::format_double(point.gather_ns / point.batched_ns, 2)});
+    }
+  }
+  std::cout << table.to_string();
+  man::util::Table crossovers(
+      {"Backend", "min_batch_lanes()", "measured crossover"});
+  for (const BackendCurve& row : curve.backends) {
+    crossovers.add_row(
+        {row.name,
+         row.min_batch_lanes == man::backend::kNeverBatchLanes
+             ? "never"
+             : std::to_string(row.min_batch_lanes),
+         row.measured_crossover == 0 ? "never"
+                                     : std::to_string(row.measured_crossover)});
+  }
+  std::cout << crossovers.to_string()
+            << "batched outputs + EngineStats vs per-sample reference: "
+            << (curve.identical ? "bit-identical" : "MISMATCH") << "\n";
+  return curve;
+}
+
+void emit_lanes_curve(std::ofstream& out, const LanesCurve& curve) {
+  out << "  \"batch_lanes_curve\": {\n    \"bit_identical\": "
+      << (curve.identical ? "true" : "false") << ",\n    \"backends\": {\n";
+  for (std::size_t b = 0; b < curve.backends.size(); ++b) {
+    const BackendCurve& row = curve.backends[b];
+    out << "      \"" << row.name << "\": {\"min_batch_lanes\": "
+        << (row.min_batch_lanes == man::backend::kNeverBatchLanes
+                ? 0
+                : row.min_batch_lanes)
+        << ", \"measured_crossover\": " << row.measured_crossover
+        << ", \"points\": [";
+    for (std::size_t i = 0; i < row.points.size(); ++i) {
+      const CurvePoint& p = row.points[i];
+      out << (i == 0 ? "" : ", ") << "{\"batch\": " << p.batch
+          << ", \"gather_ns\": " << man::util::format_double(p.gather_ns, 1)
+          << ", \"batched_ns\": " << man::util::format_double(p.batched_ns, 1)
+          << ", \"shipped_ns\": " << man::util::format_double(p.shipped_ns, 1)
+          << "}";
+    }
+    out << "]}" << (b + 1 < curve.backends.size() ? "," : "") << "\n";
+  }
+  out << "    }\n  },\n";
+}
+
 struct ColdStartResult {
   double compile_s = 0.0;
   double load_s = 0.0;
@@ -428,6 +690,12 @@ int main() {
   const ReplayResult cnn = run_replay(cnn_engine, cnn_samples, workers);
 
   man::bench::print_banner(
+      "Batch-as-lanes curve: digit MLP ns/sample at B = 1..64, per backend "
+      "(gather = per-sample path, batched = lanes tail at every width, "
+      "shipped = infer_batch_into)");
+  const LanesCurve lanes_curve = run_lanes_curve(mlp_engine);
+
+  man::bench::print_banner(
       "Plan-artifact cold start: mmap load vs in-process build, digit MLP");
   const ColdStartResult cold = run_cold_start(mlp_engine);
   std::cout << "build (projection + compile + autotune): "
@@ -439,9 +707,10 @@ int main() {
             << "x), outputs "
             << (cold.identical ? "bit-identical" : "MISMATCH") << "\n";
 
-  const bool identical = mlp.identical && cnn.identical && cold.identical;
+  const bool identical = mlp.identical && cnn.identical && cold.identical &&
+                         lanes_curve.identical;
   std::cout << "per-backend raw outputs + per-layer EngineStats "
-            << "(MLP + CNN): " << (identical ? "bit-identical" : "MISMATCH")
+            << "(MLP + CNN + lanes curve): " << (identical ? "bit-identical" : "MISMATCH")
             << "\n";
 
   if (const std::string json = man::bench::bench_json_path(); !json.empty()) {
@@ -449,6 +718,7 @@ int main() {
     out << "{\n";
     emit_json_section(out, "fig9_replay", mlp, /*last=*/false);
     emit_json_section(out, "fig9_cnn_replay", cnn, /*last=*/false);
+    emit_lanes_curve(out, lanes_curve);
     out << "  \"artifact_cold_start\": {\n    \"compile_ms\": "
         << man::util::format_double(cold.compile_s * 1e3, 3)
         << ",\n    \"load_ms\": "

@@ -101,6 +101,99 @@ void accumulate_planes_avx512(const DenseLayerPlan& plan,
   }
 }
 
+/// Batch-as-lanes dense kernel: NV zmm vectors cover the tile's lanes
+/// (the last one lane-masked when lanes % 8 != 0, so a ragged tile
+/// needs no scalar tail), and every weight step is one broadcast-count
+/// shift of NV plain loads — the conv position tile with samples for
+/// positions, where accumulate_planes_avx512 spends a vpgatherqq per
+/// 8 weights of one sample.
+/// Batch-as-lanes dense kernel: NV zmm vectors cover the tile's lanes
+/// (the last one lane-masked when lanes % 8 != 0, so a ragged tile
+/// needs no scalar tail), and every weight step is one broadcast
+/// shift of NV plain loads — the conv position tile with samples for
+/// positions, where accumulate_planes_avx512 spends a vpgatherqq per
+/// 8 weights of one sample. PLANES > 0 fixes the plan's plane count
+/// at compile time (the shipped 8/12-bit plans have 1 or 2), which
+/// unrolls the step loop; 0 walks plan.planes at run time.
+template <int NV, int PLANES>
+void dense_batch_avx512(const DenseLayerPlan& plan,
+                        const std::int64_t* multiples, int lanes,
+                        int col_begin, int col_end, std::int64_t* out) {
+  const std::size_t stride = plan.plane_stride();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  const int planes = PLANES > 0 ? PLANES : plan.planes;
+  const std::uint32_t zero_slot = plan.zero_slot;
+  const auto cols_padded = static_cast<std::size_t>(plan.cols_padded);
+  const auto n = static_cast<std::size_t>(lanes);
+  const std::uint32_t block_slot = static_cast<std::uint32_t>(col_begin) *
+                                   static_cast<std::uint32_t>(plan.k);
+  const int tail_lanes = lanes - (NV - 1) * kZmmLanes;
+  const auto tail = static_cast<__mmask8>((1u << tail_lanes) - 1u);
+  const auto load = [tail](const std::int64_t* src, int v) {
+    return v + 1 < NV ? _mm512_loadu_si512(src + v * kZmmLanes)
+                      : _mm512_maskz_loadu_epi64(tail, src + v * kZmmLanes);
+  };
+  for (int r = 0; r < plan.rows; ++r) {
+    std::int64_t* dst = out + static_cast<std::size_t>(r) * n;
+    const std::size_t row = static_cast<std::size_t>(r) * cols_padded;
+    __m512i acc[NV];
+    for (int v = 0; v < NV; ++v) acc[v] = load(dst, v);
+    for (int c = col_begin; c < col_end; ++c) {
+      const std::size_t cell = row + static_cast<std::size_t>(c);
+      const std::uint32_t first = idx[cell];
+      if (first == zero_slot) continue;  // zero-step weight
+      __m512i product[NV];
+      const __m512i sh0 = _mm512_set1_epi64(shifts[cell]);
+      const std::int64_t* src0 = multiples + (first - block_slot) * n;
+      for (int v = 0; v < NV; ++v) {
+        product[v] = _mm512_sllv_epi64(load(src0, v), sh0);
+      }
+      for (int q = 1; q < planes; ++q) {
+        const std::size_t pc = q * stride + cell;
+        const std::uint32_t cell_idx = idx[pc];
+        if (cell_idx == zero_slot) break;  // steps are packed
+        const __m512i sh = _mm512_set1_epi64(shifts[pc]);
+        const std::int64_t* src = multiples + (cell_idx - block_slot) * n;
+        for (int v = 0; v < NV; ++v) {
+          product[v] =
+              _mm512_add_epi64(product[v], _mm512_sllv_epi64(load(src, v), sh));
+        }
+      }
+      const __m512i sign = _mm512_set1_epi64(signs[cell]);
+      for (int v = 0; v < NV; ++v) {
+        acc[v] = _mm512_add_epi64(
+            acc[v], _mm512_sub_epi64(_mm512_xor_si512(product[v], sign), sign));
+      }
+    }
+    for (int v = 0; v + 1 < NV; ++v) {
+      _mm512_storeu_si512(dst + v * kZmmLanes, acc[v]);
+    }
+    _mm512_mask_storeu_epi64(dst + (NV - 1) * kZmmLanes, tail, acc[NV - 1]);
+  }
+}
+
+/// Plane-count dispatch for one vector count.
+template <int NV>
+void dense_batch_planes_avx512(const DenseLayerPlan& plan,
+                               const std::int64_t* multiples, int lanes,
+                               int col_begin, int col_end, std::int64_t* out) {
+  switch (plan.planes) {
+    case 1:
+      dense_batch_avx512<NV, 1>(plan, multiples, lanes, col_begin, col_end,
+                                out);
+      break;
+    case 2:
+      dense_batch_avx512<NV, 2>(plan, multiples, lanes, col_begin, col_end,
+                                out);
+      break;
+    default:
+      dense_batch_avx512<NV, 0>(plan, multiples, lanes, col_begin, col_end,
+                                out);
+  }
+}
+
 /// Default conv tile when the plan carries no autotuned shape: with
 /// 32 zmm registers a deeper row tile than the AVX2 default pays for
 /// itself before the autotuner has spoken.
@@ -365,6 +458,9 @@ void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
 
 #endif  // MAN_HAVE_AVX512 && __AVX512F__ && __AVX512VL__
 
+/// min_batch_lanes() of the live AVX-512 path; see docs/backends.md.
+inline constexpr int kAvx512MinBatchLanes = 5;
+
 class Avx512Backend final : public KernelBackend {
  public:
   Avx512Backend() {
@@ -401,6 +497,41 @@ class Avx512Backend final : public KernelBackend {
     }
 #endif
     accumulate_planes(plan, multiples, out);
+  }
+
+  void accumulate_dense_batch(const DenseLayerPlan& plan,
+                              const std::int64_t* multiples, int lanes,
+                              int col_begin, int col_end,
+                              std::int64_t* out) const override {
+#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
+    static_assert(kMaxBatchLanes == 4 * kZmmLanes, "extend the dispatch");
+    if (avx512_) {
+      switch ((lanes + kZmmLanes - 1) / kZmmLanes) {
+        case 1:
+          dense_batch_planes_avx512<1>(plan, multiples, lanes, col_begin,
+                                       col_end, out);
+          break;
+        case 2:
+          dense_batch_planes_avx512<2>(plan, multiples, lanes, col_begin,
+                                       col_end, out);
+          break;
+        case 3:
+          dense_batch_planes_avx512<3>(plan, multiples, lanes, col_begin,
+                                       col_end, out);
+          break;
+        default:
+          dense_batch_planes_avx512<4>(plan, multiples, lanes, col_begin,
+                                       col_end, out);
+      }
+      return;
+    }
+#endif
+    accumulate_dense_batch_planes(plan, multiples, lanes, col_begin, col_end,
+                                  out);
+  }
+
+  [[nodiscard]] int min_batch_lanes() const noexcept override {
+    return avx512_ ? kAvx512MinBatchLanes : kPortableMinBatchLanes;
   }
 
   void exact_dense(const DenseLayerPlan& plan,

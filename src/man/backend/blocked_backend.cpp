@@ -27,6 +27,18 @@ class BlockedBackend final : public KernelBackend {
     accumulate_planes(plan, multiples, out);
   }
 
+  void accumulate_dense_batch(const DenseLayerPlan& plan,
+                              const std::int64_t* multiples, int lanes,
+                              int col_begin, int col_end,
+                              std::int64_t* out) const override {
+    accumulate_dense_batch_planes(plan, multiples, lanes, col_begin, col_end,
+                                  out);
+  }
+
+  [[nodiscard]] int min_batch_lanes() const noexcept override {
+    return kPortableMinBatchLanes;
+  }
+
   void exact_dense(const DenseLayerPlan& plan,
                    const std::int64_t* activations,
                    std::int64_t* out) const override {

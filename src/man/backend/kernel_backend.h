@@ -15,6 +15,7 @@
 #define MAN_BACKEND_KERNEL_BACKEND_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -33,6 +34,14 @@ enum class BackendKind {
              ///< (portable plane loop when not compiled with AVX-512
              ///< or the CPU lacks it)
 };
+
+/// Widest tile of samples the batch-as-lanes dense kernel runs at
+/// once (accumulate_dense_batch): four zmm of int64 lanes.
+inline constexpr int kMaxBatchLanes = 32;
+
+/// min_batch_lanes() of a backend whose batched dense kernel never
+/// beats running its per-sample kernel once per sample.
+inline constexpr int kNeverBatchLanes = std::numeric_limits<int>::max();
 
 /// One implementation of the inner accumulation loops. Stateless and
 /// thread-safe: instances are process-wide singletons obtained via
@@ -61,6 +70,30 @@ class KernelBackend {
   virtual void accumulate_dense(const DenseLayerPlan& plan,
                                 const std::int64_t* multiples,
                                 std::int64_t* out) const = 0;
+
+  /// Batch-as-lanes ASM accumulation of columns [col_begin, col_end)
+  /// of one dense stage over `lanes` samples (1..kMaxBatchLanes):
+  ///   out[r·lanes + b] += Σ_{c in block} sign · Σ_q
+  ///       multiples[(idx − col_begin·k)·lanes + b] << shift.
+  /// `multiples` holds the block's bank outputs slot-major — slot
+  /// s = (c − col_begin)·k + alphabet, lane b at s·lanes + b — so one
+  /// weight step reads `lanes` consecutive slots (plain loads, one
+  /// broadcast shift) where accumulate_dense gathers one slot per
+  /// weight. Zero-step weights and absent quartets are skipped, never
+  /// read, so the block carries no zero slot. The caller seeds `out`
+  /// (rows × lanes) with the biases before the first block; summed
+  /// over blocks covering [0, cols), lane b equals accumulate_dense
+  /// on that sample's multiples, bit for bit.
+  virtual void accumulate_dense_batch(const DenseLayerPlan& plan,
+                                      const std::int64_t* multiples,
+                                      int lanes, int col_begin, int col_end,
+                                      std::int64_t* out) const = 0;
+
+  /// Smallest tile width at which accumulate_dense_batch beats
+  /// accumulate_dense run once per sample on this backend (a measured
+  /// constant, see docs/backends.md); kNeverBatchLanes when it never
+  /// does. Narrower tiles stay on the per-sample path.
+  [[nodiscard]] virtual int min_batch_lanes() const noexcept = 0;
 
   /// Conventional exact dense stage:
   /// out[r] = biases[r] + Σ_c weights[r][c] · activations[c].

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "man/backend/kernel_backend.h"
 #include "man/backend/layer_plan.h"
 
 namespace man::backend::detail {
@@ -38,6 +39,53 @@ inline void accumulate_planes(const DenseLayerPlan& plan,
       acc += (product ^ sign) - sign;
     }
     out[r] = acc;
+  }
+}
+
+/// min_batch_lanes() of the portable batched walk (the blocked
+/// backend and the SIMD/AVX-512 fallbacks); see docs/backends.md.
+inline constexpr int kPortableMinBatchLanes = 4;
+
+/// Batch-as-lanes plane walk (KernelBackend::accumulate_dense_batch):
+/// each weight step of the column block reads `lanes` consecutive
+/// slot-major multiples and shift-adds them into one product per
+/// lane — the conv plane walk's shape with samples for positions.
+/// Zero-step weights and absent quartets (steps are packed from plane
+/// 0) are skipped, contributing exactly the zero the padded walk adds.
+inline void accumulate_dense_batch_planes(const DenseLayerPlan& plan,
+                                          const std::int64_t* multiples,
+                                          int lanes, int col_begin,
+                                          int col_end, std::int64_t* out) {
+  const std::size_t stride = plan.plane_stride();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  const auto n = static_cast<std::size_t>(lanes);
+  const std::uint32_t block_slot = static_cast<std::uint32_t>(col_begin) *
+                                   static_cast<std::uint32_t>(plan.k);
+  std::int64_t product[kMaxBatchLanes];
+  for (int r = 0; r < plan.rows; ++r) {
+    std::int64_t* acc = out + static_cast<std::size_t>(r) * n;
+    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+    for (int c = col_begin; c < col_end; ++c) {
+      const std::size_t cell = row + static_cast<std::size_t>(c);
+      const std::uint32_t first = idx[cell];
+      if (first == plan.zero_slot) continue;  // zero-step weight
+      const std::int64_t* src0 = multiples + (first - block_slot) * n;
+      for (std::size_t b = 0; b < n; ++b) product[b] = src0[b] << shifts[cell];
+      for (int q = 1; q < plan.planes; ++q) {
+        const std::size_t pc = q * stride + cell;
+        const std::uint32_t cell_idx = idx[pc];
+        if (cell_idx == plan.zero_slot) break;  // steps are packed
+        const std::int64_t* src = multiples + (cell_idx - block_slot) * n;
+        const std::int64_t sh = shifts[pc];
+        for (std::size_t b = 0; b < n; ++b) product[b] += src[b] << sh;
+      }
+      const std::int64_t sign = signs[cell];
+      for (std::size_t b = 0; b < n; ++b) {
+        acc[b] += (product[b] ^ sign) - sign;
+      }
+    }
   }
 }
 

@@ -42,6 +42,38 @@ class ScalarBackend final : public KernelBackend {
     }
   }
 
+  void accumulate_dense_batch(const DenseLayerPlan& plan,
+                              const std::int64_t* multiples, int lanes,
+                              int col_begin, int col_end,
+                              std::int64_t* out) const override {
+    // accumulate_dense's AoS walk, once per lane of the slot-major
+    // block (alphabet `lane` of column i, sample b at
+    // ((i − col_begin)·k + lane)·lanes + b).
+    const auto n = static_cast<std::size_t>(lanes);
+    for (int o = 0; o < plan.rows; ++o) {
+      const std::size_t row = static_cast<std::size_t>(o) * plan.cols;
+      for (int i = col_begin; i < col_end; ++i) {
+        const AsmWeight& w = plan.asm_weights[row + i];
+        if (w.step_count == 0) continue;
+        const std::int64_t* m =
+            &multiples[static_cast<std::size_t>(i - col_begin) * plan.k * n];
+        for (std::size_t b = 0; b < n; ++b) {
+          std::int64_t product = 0;
+          for (std::uint8_t s = 0; s < w.step_count; ++s) {
+            const AsmStep& step = plan.steps[w.step_begin + s];
+            product += m[step.lane * n + b] << step.shift;
+          }
+          out[static_cast<std::size_t>(o) * n + b] +=
+              w.negative ? -product : product;
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] int min_batch_lanes() const noexcept override {
+    return kNeverBatchLanes;  // the reference stays sample by sample
+  }
+
   void exact_dense(const DenseLayerPlan& plan,
                    const std::int64_t* activations,
                    std::int64_t* out) const override {

@@ -71,6 +71,132 @@ void accumulate_planes_avx2(const DenseLayerPlan& plan,
   }
 }
 
+/// Lanes one pass of the AVX2 batch kernel holds in registers: four
+/// ymm accumulators plus four products fill half the 16 ymm
+/// registers; wider tiles run in several lane groups.
+inline constexpr int kAvx2GroupLanes = 4 * kLaneWidth;
+
+/// Batch-as-lanes dense kernel over lanes [lane0, lane0 + group) of a
+/// tile `n` lanes wide: NV ymm vectors cover the group, the last one
+/// maskload/maskstore-limited when group % 4 != 0; every weight step
+/// is one broadcast shift of NV plain loads instead of
+/// accumulate_planes_avx2's gather per 4 weights of one sample.
+/// PLANES as in dense_batch_avx512 (0 = plan.planes at run time).
+template <int NV, int PLANES>
+void dense_batch_avx2(const DenseLayerPlan& plan,
+                      const std::int64_t* multiples, std::size_t n,
+                      std::size_t lane0, int group, int col_begin,
+                      int col_end, std::int64_t* out) {
+  const std::size_t stride = plan.plane_stride();
+  const std::uint32_t* idx = plan.idx.data();
+  const std::int64_t* shifts = plan.shifts.data();
+  const std::int64_t* signs = plan.sign_masks.data();
+  const int planes = PLANES > 0 ? PLANES : plan.planes;
+  const std::uint32_t zero_slot = plan.zero_slot;
+  const auto cols_padded = static_cast<std::size_t>(plan.cols_padded);
+  const std::uint32_t block_slot = static_cast<std::uint32_t>(col_begin) *
+                                   static_cast<std::uint32_t>(plan.k);
+  const int tail_lanes = group - (NV - 1) * kLaneWidth;
+  const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(tail_lanes),
+                                          _mm256_setr_epi64x(0, 1, 2, 3));
+  const auto load = [tail](const std::int64_t* src, int v) {
+    const auto* p = reinterpret_cast<const long long*>(src + v * kLaneWidth);
+    return v + 1 < NV
+               ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))
+               : _mm256_maskload_epi64(p, tail);
+  };
+  const std::int64_t* lanes_base = multiples + lane0;
+  for (int r = 0; r < plan.rows; ++r) {
+    std::int64_t* dst = out + static_cast<std::size_t>(r) * n + lane0;
+    const std::size_t row = static_cast<std::size_t>(r) * cols_padded;
+    __m256i acc[NV];
+    for (int v = 0; v < NV; ++v) acc[v] = load(dst, v);
+    for (int c = col_begin; c < col_end; ++c) {
+      const std::size_t cell = row + static_cast<std::size_t>(c);
+      const std::uint32_t first = idx[cell];
+      if (first == zero_slot) continue;  // zero-step weight
+      __m256i product[NV];
+      const __m256i sh0 = _mm256_set1_epi64x(shifts[cell]);
+      const std::int64_t* src0 = lanes_base + (first - block_slot) * n;
+      for (int v = 0; v < NV; ++v) {
+        product[v] = _mm256_sllv_epi64(load(src0, v), sh0);
+      }
+      for (int q = 1; q < planes; ++q) {
+        const std::size_t pc = q * stride + cell;
+        const std::uint32_t cell_idx = idx[pc];
+        if (cell_idx == zero_slot) break;  // steps are packed
+        const __m256i sh = _mm256_set1_epi64x(shifts[pc]);
+        const std::int64_t* src = lanes_base + (cell_idx - block_slot) * n;
+        for (int v = 0; v < NV; ++v) {
+          product[v] =
+              _mm256_add_epi64(product[v], _mm256_sllv_epi64(load(src, v), sh));
+        }
+      }
+      const __m256i sign = _mm256_set1_epi64x(signs[cell]);
+      for (int v = 0; v < NV; ++v) {
+        acc[v] = _mm256_add_epi64(
+            acc[v], _mm256_sub_epi64(_mm256_xor_si256(product[v], sign), sign));
+      }
+    }
+    for (int v = 0; v + 1 < NV; ++v) {
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(dst + v * kLaneWidth), acc[v]);
+    }
+    _mm256_maskstore_epi64(
+        reinterpret_cast<long long*>(dst + (NV - 1) * kLaneWidth), tail,
+        acc[NV - 1]);
+  }
+}
+
+/// Plane-count dispatch for one vector count.
+template <int NV>
+void dense_batch_planes_avx2(const DenseLayerPlan& plan,
+                             const std::int64_t* multiples, std::size_t n,
+                             std::size_t lane0, int group, int col_begin,
+                             int col_end, std::int64_t* out) {
+  switch (plan.planes) {
+    case 1:
+      dense_batch_avx2<NV, 1>(plan, multiples, n, lane0, group, col_begin,
+                              col_end, out);
+      break;
+    case 2:
+      dense_batch_avx2<NV, 2>(plan, multiples, n, lane0, group, col_begin,
+                              col_end, out);
+      break;
+    default:
+      dense_batch_avx2<NV, 0>(plan, multiples, n, lane0, group, col_begin,
+                              col_end, out);
+  }
+}
+
+/// The whole tile, one register-sized lane group after another.
+void dense_batch_tile_avx2(const DenseLayerPlan& plan,
+                           const std::int64_t* multiples, int lanes,
+                           int col_begin, int col_end, std::int64_t* out) {
+  const auto n = static_cast<std::size_t>(lanes);
+  for (int lane0 = 0; lane0 < lanes; lane0 += kAvx2GroupLanes) {
+    const int group = std::min(kAvx2GroupLanes, lanes - lane0);
+    const auto l0 = static_cast<std::size_t>(lane0);
+    switch ((group + kLaneWidth - 1) / kLaneWidth) {
+      case 1:
+        dense_batch_planes_avx2<1>(plan, multiples, n, l0, group, col_begin,
+                                   col_end, out);
+        break;
+      case 2:
+        dense_batch_planes_avx2<2>(plan, multiples, n, l0, group, col_begin,
+                                   col_end, out);
+        break;
+      case 3:
+        dense_batch_planes_avx2<3>(plan, multiples, n, l0, group, col_begin,
+                                   col_end, out);
+        break;
+      default:
+        dense_batch_planes_avx2<4>(plan, multiples, n, l0, group, col_begin,
+                                   col_end, out);
+    }
+  }
+}
+
 /// Default conv tile when the plan carries no autotuned shape: 4
 /// output rows × one 4-lane column group per pass (the PR 5 shape).
 inline constexpr int kConvRowTile = 4;
@@ -263,6 +389,9 @@ void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
 
 #endif  // MAN_HAVE_AVX2 && __AVX2__
 
+/// min_batch_lanes() of the live AVX2 path; see docs/backends.md.
+inline constexpr int kAvx2MinBatchLanes = 4;
+
 class SimdBackend final : public KernelBackend {
  public:
   SimdBackend() {
@@ -295,6 +424,24 @@ class SimdBackend final : public KernelBackend {
     }
 #endif
     accumulate_planes(plan, multiples, out);
+  }
+
+  void accumulate_dense_batch(const DenseLayerPlan& plan,
+                              const std::int64_t* multiples, int lanes,
+                              int col_begin, int col_end,
+                              std::int64_t* out) const override {
+#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
+    if (avx2_) {
+      dense_batch_tile_avx2(plan, multiples, lanes, col_begin, col_end, out);
+      return;
+    }
+#endif
+    accumulate_dense_batch_planes(plan, multiples, lanes, col_begin, col_end,
+                                  out);
+  }
+
+  [[nodiscard]] int min_batch_lanes() const noexcept override {
+    return avx2_ ? kAvx2MinBatchLanes : kPortableMinBatchLanes;
   }
 
   void exact_dense(const DenseLayerPlan& plan,

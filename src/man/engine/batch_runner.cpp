@@ -37,19 +37,21 @@ BatchRunner::BatchRunner(const FixedNetwork& network, BatchOptions options)
 
 void BatchRunner::run_sharded(
     std::size_t count,
-    const std::function<void(std::size_t, EngineStats&,
+    const std::function<void(std::size_t, std::size_t, EngineStats&,
                              FixedNetwork::InferScratch&)>& fn) {
   if (count == 0) return;
 
   const std::size_t shards = std::min<std::size_t>(
       static_cast<std::size_t>(workers_),
       (count + min_samples_per_worker_ - 1) / min_samples_per_worker_);
+  while (shards_.size() < shards) {
+    shards_.push_back(Shard{network_->make_scratch(), network_->make_stats()});
+  }
+  for (std::size_t w = 0; w < shards; ++w) shards_[w].stats.reset();
 
   if (shards <= 1) {
-    EngineStats local = network_->make_stats();
-    FixedNetwork::InferScratch scratch = network_->make_scratch();
-    for (std::size_t i = 0; i < count; ++i) fn(i, local, scratch);
-    stats_.merge(local);
+    fn(0, count, shards_[0].stats, shards_[0].scratch);
+    stats_.merge(shards_[0].stats);
     return;
   }
 
@@ -64,18 +66,13 @@ void BatchRunner::run_sharded(
   const std::size_t per = count / shards;
   const std::size_t extra = count % shards;
 
-  std::vector<EngineStats> shard_stats(shards);
   std::vector<std::future<void>> pending;
   pending.reserve(shards);
-
   for (std::size_t w = 0; w < shards; ++w) {
     const std::size_t begin = w * per + std::min(w, extra);
     const std::size_t end = begin + per + (w < extra ? 1 : 0);
     pending.push_back(pool_->submit([&, w, begin, end] {
-      EngineStats local = network_->make_stats();
-      FixedNetwork::InferScratch scratch = network_->make_scratch();
-      for (std::size_t i = begin; i < end; ++i) fn(i, local, scratch);
-      shard_stats[w] = std::move(local);
+      fn(begin, end, shards_[w].stats, shards_[w].scratch);
     }));
   }
   // Every shard must finish before we unwind (the tasks capture
@@ -85,7 +82,7 @@ void BatchRunner::run_sharded(
 
   // Fixed shard order keeps the reduction deterministic (the counts
   // are integers, so it is also order-independent — belt and braces).
-  for (EngineStats& local : shard_stats) stats_.merge(local);
+  for (std::size_t w = 0; w < shards; ++w) stats_.merge(shards_[w].stats);
 }
 
 void BatchRunner::run(std::span<const float> inputs,
@@ -104,11 +101,13 @@ void BatchRunner::run(std::span<const float> inputs,
         std::to_string(out_size));
   }
 
-  run_sharded(count, [&](std::size_t i, EngineStats& stats,
+  run_sharded(count, [&](std::size_t begin, std::size_t end,
+                         EngineStats& stats,
                          FixedNetwork::InferScratch& scratch) {
-    network_->infer_into(inputs.subspan(i * in_size, in_size),
-                         outputs.subspan(i * out_size, out_size), stats,
-                         scratch, *kernel_);
+    network_->infer_batch_into(
+        inputs.subspan(begin * in_size, (end - begin) * in_size),
+        outputs.subspan(begin * out_size, (end - begin) * out_size), stats,
+        scratch, *kernel_);
   });
 }
 
@@ -133,14 +132,37 @@ std::vector<int> BatchRunner::predict(std::span<const float> inputs) {
 
 std::vector<int> BatchRunner::predict(
     std::span<const man::data::Example> examples) {
+  const std::size_t in_size = network_->input_size();
   const std::size_t out_size = network_->output_size();
   std::vector<int> predictions(examples.size());
-  run_sharded(examples.size(), [&](std::size_t i, EngineStats& stats,
+  run_sharded(examples.size(), [&](std::size_t begin, std::size_t end,
+                                   EngineStats& stats,
                                    FixedNetwork::InferScratch& scratch) {
-    scratch.raw_out.resize(out_size);  // per-shard, reused across samples
-    network_->infer_into(examples[i].pixels, scratch.raw_out, stats, scratch,
-                         *kernel_);
-    predictions[i] = argmax_raw(scratch.raw_out);
+    // Examples are not contiguous: gather one tile of pixels at a time
+    // so the dense tail still runs batch-as-lanes.
+    const std::size_t tile = man::backend::kMaxBatchLanes;
+    std::vector<float> pixels;
+    std::vector<std::int64_t> raw;
+    for (std::size_t i = begin; i < end; i += tile) {
+      const std::size_t n = std::min(tile, end - i);
+      pixels.clear();
+      for (std::size_t b = 0; b < n; ++b) {
+        const auto& sample = examples[i + b].pixels;
+        if (sample.size() != in_size) {
+          throw std::invalid_argument(
+              "BatchRunner: example has " + std::to_string(sample.size()) +
+              " values, engine expects " + std::to_string(in_size));
+        }
+        pixels.insert(pixels.end(), sample.begin(), sample.end());
+      }
+      raw.resize(n * out_size);
+      network_->infer_batch_into(pixels, raw, stats, scratch, *kernel_);
+      for (std::size_t b = 0; b < n; ++b) {
+        predictions[i + b] = argmax_raw(
+            std::span<const std::int64_t>(raw).subspan(b * out_size,
+                                                       out_size));
+      }
+    }
   });
   return predictions;
 }

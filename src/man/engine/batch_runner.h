@@ -1,9 +1,11 @@
 // Batched, multi-threaded driver for the fixed-point engine: shards a
 // batch of inputs across a persistent worker pool, gives every shard
-// its own InferScratch (so the CSHM pre-computer outputs are memoized
-// within a shard instead of rebuilt per sample — the amortization the
-// shared bank exists for, paper §III), and reduces the per-shard
-// EngineStats into one aggregate with per-layer activity preserved.
+// index its own InferScratch for the runner's lifetime (so the CSHM
+// pre-computer outputs are memoized across samples and batches instead
+// of rebuilt per sample — the amortization the shared bank exists for,
+// paper §III), runs each shard through FixedNetwork::infer_batch_into
+// (dense tail batch-as-lanes), and reduces the per-shard EngineStats
+// into one aggregate with per-layer activity preserved.
 //
 // Results are bit-identical to the sequential path for any worker
 // count: every sample's output lands in its own slot, and the
@@ -109,13 +111,21 @@ class BatchRunner {
   void reset_stats() noexcept { stats_.reset(); }
 
  private:
-  /// Runs fn(sample_index, stats, scratch) for every index in [0,
-  /// count) across the pool, then merges shard stats (in shard
-  /// order) into stats_. Rethrows the first shard exception after
-  /// every shard has finished.
+  /// Per-shard state kept for the runner's lifetime: the scratch (so
+  /// the CSHM flat tables stay filled and the buffers allocated across
+  /// run() calls) and the shard's stats, reset each run.
+  struct Shard {
+    FixedNetwork::InferScratch scratch;
+    EngineStats stats;
+  };
+
+  /// Splits [0, count) into contiguous shards, runs fn(begin, end,
+  /// stats, scratch) for each across the pool, then merges shard
+  /// stats (in shard order) into stats_. Rethrows the first shard
+  /// exception after every shard has finished.
   void run_sharded(
       std::size_t count,
-      const std::function<void(std::size_t, EngineStats&,
+      const std::function<void(std::size_t, std::size_t, EngineStats&,
                                FixedNetwork::InferScratch&)>& fn);
 
   const FixedNetwork* network_;
@@ -123,6 +133,7 @@ class BatchRunner {
   int workers_;
   std::size_t min_samples_per_worker_;
   std::shared_ptr<man::serve::ThreadPool> pool_;
+  std::vector<Shard> shards_;  ///< one per shard index, grown on demand
   EngineStats stats_;
 };
 

@@ -87,6 +87,50 @@ void stage_multiples_lane_major(std::span<const std::int64_t> values,
   }
 }
 
+// Slot-major staging for one column block [c0, c1) of a batch tile:
+// alphabet l of column c, sample b lands at ((c − c0)·k + l)·lanes + b
+// — the layout KernelBackend::accumulate_dense_batch reads, so one
+// weight step loads `lanes` consecutive slots. value(c, b) yields input
+// c of sample b; lookups go through the same flat-table cache as the
+// per-sample path.
+template <typename Value>
+void stage_tile_block(Value&& value, std::size_t c0, std::size_t c1,
+                      std::size_t lanes, std::size_t k,
+                      man::core::PrecomputerCache& cache,
+                      std::int64_t* block) {
+  OpCounts discard;
+  for (std::size_t c = c0; c < c1; ++c) {
+    std::int64_t* dest = block + (c - c0) * k * lanes;
+    for (std::size_t b = 0; b < lanes; ++b) {
+      const std::int64_t* row = cache.lookup(value(c, b), discard);
+      for (std::size_t l = 0; l < k; ++l) dest[l * lanes + b] = row[l];
+    }
+  }
+}
+
+// Staged slots per column block of a batch tile: 32 KiB of int64, so
+// the block stays in L1 while every row of the stage streams over it.
+constexpr std::size_t kTileBlockSlots = 4096;
+
+// Quantizes one sample's pixels into `buffer` (activation raw units).
+void quantize_pixels(const man::fixed::QFormat& format,
+                     std::span<const float> pixels,
+                     std::vector<std::int64_t>& buffer) {
+  buffer.clear();
+  buffer.reserve(pixels.size());
+  for (float p : pixels) {
+    buffer.push_back(format.quantize(static_cast<double>(p)));
+  }
+}
+
+// Charges `n` inferences' static activity of one synapse stage.
+template <typename Synapse>
+void charge(LayerStats& layer, const Synapse& synapse, std::uint64_t n) {
+  layer.macs += synapse.macs * n;
+  layer.bank_activations += synapse.bank_activations * n;
+  for (std::uint64_t i = 0; i < n; ++i) layer.ops += synapse.ops_per_inference;
+}
+
 // Phase timing shim: runs `fn` and charges its wall clock to the given
 // PhaseProfile field when profiling is on (profile non-null).
 template <typename Fn>
@@ -207,6 +251,24 @@ void FixedNetwork::link_stages() {
     }
   }
   output_size_ = current;
+
+  // The dense tail: the longest suffix of ASM dense and LUT stages,
+  // from its first ASM dense stage on. Exact dense stages gain nothing
+  // from lanes, so they end the tail and run per sample.
+  tail_begin_ = stages_.size();
+  for (std::size_t i = stages_.size(); i-- > 0;) {
+    if (std::holds_alternative<LutStage>(stages_[i])) continue;
+    const auto* dense = std::get_if<DenseStage>(&stages_[i]);
+    if (dense == nullptr ||
+        dense->synapse.scheme.multiplier == MultiplierKind::kExact) {
+      break;
+    }
+    tail_begin_ = i;
+  }
+  tail_synapse_ = static_cast<std::size_t>(
+      std::count_if(synapse_stage_indices_.begin(),
+                    synapse_stage_indices_.end(),
+                    [&](std::size_t i) { return i < tail_begin_; }));
 }
 
 namespace {
@@ -579,10 +641,53 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
         "FixedNetwork: output span has " + std::to_string(out.size()) +
         " slots, engine produces " + std::to_string(output_size_));
   }
+  prepare(stats, scratch);
+  forward_one(pixels, out, stats, scratch, kernel);
+}
+
+void FixedNetwork::infer_batch_into(
+    std::span<const float> inputs, std::span<std::int64_t> outputs,
+    EngineStats& stats, InferScratch& scratch,
+    const man::backend::KernelBackend& kernel) const {
+  if (input_size_ == 0 || inputs.size() % input_size_ != 0) {
+    throw std::invalid_argument(
+        "FixedNetwork: batch input is not a whole number of samples");
+  }
+  const std::size_t count = inputs.size() / input_size_;
+  if (outputs.size() != count * output_size_) {
+    throw std::invalid_argument(
+        "FixedNetwork: batch output span has " +
+        std::to_string(outputs.size()) + " slots for " +
+        std::to_string(count) + " samples of " +
+        std::to_string(output_size_));
+  }
+  prepare(stats, scratch);
+  const auto min_lanes = static_cast<std::size_t>(
+      tail_begin_ < stages_.size() ? kernel.min_batch_lanes()
+                                   : man::backend::kNeverBatchLanes);
+  for (std::size_t begin = 0; begin < count;) {
+    const std::size_t lanes = std::min<std::size_t>(
+        count - begin, man::backend::kMaxBatchLanes);
+    const auto in = inputs.subspan(begin * input_size_, lanes * input_size_);
+    const auto out =
+        outputs.subspan(begin * output_size_, lanes * output_size_);
+    if (lanes >= min_lanes) {
+      forward_tile(in, out, static_cast<int>(lanes), stats, scratch, kernel);
+    } else {
+      for (std::size_t b = 0; b < lanes; ++b) {
+        forward_one(in.subspan(b * input_size_, input_size_),
+                    out.subspan(b * output_size_, output_size_), stats,
+                    scratch, kernel);
+      }
+    }
+    begin += lanes;
+  }
+}
+
+void FixedNetwork::prepare(EngineStats& stats, InferScratch& scratch) const {
   // Re-bind the caches of a scratch that is default-constructed or was
   // made by a different engine (they would serve another bank's
-  // multiples). Only the caches are replaced: `out` may alias
-  // scratch.raw_out, so the buffers must stay put.
+  // multiples). Only the caches are replaced; the buffers stay put.
   bool scratch_matches =
       scratch.caches.size() == synapse_stage_indices_.size();
   for (std::size_t si = 0; scratch_matches && si < scratch.caches.size();
@@ -596,22 +701,30 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
     throw std::invalid_argument(
         "FixedNetwork: stats layout mismatch; use make_stats()");
   }
+}
 
-  const auto& afmt = spec_.activation_format;
+void FixedNetwork::forward_one(std::span<const float> pixels,
+                               std::span<std::int64_t> out,
+                               EngineStats& stats, InferScratch& scratch,
+                               const man::backend::KernelBackend& kernel) const {
+  std::vector<std::int64_t>& buffer = scratch.buffer;
+  timed_phase(scratch.profile, &PhaseProfile::quantize_s, [&] {
+    quantize_pixels(spec_.activation_format, pixels, buffer);
+  });
+  run_stages(stages_.size(), stats, scratch, kernel);
+  stats.inferences += 1;
+  std::copy(buffer.begin(), buffer.end(), out.begin());
+}
+
+void FixedNetwork::run_stages(std::size_t end, EngineStats& stats,
+                              InferScratch& scratch,
+                              const man::backend::KernelBackend& kernel) const {
   PhaseProfile* const profile = scratch.profile;
   std::vector<std::int64_t>& buffer = scratch.buffer;
-  timed_phase(profile, &PhaseProfile::quantize_s, [&] {
-    buffer.clear();
-    buffer.reserve(pixels.size());
-    for (float p : pixels) {
-      buffer.push_back(afmt.quantize(static_cast<double>(p)));
-    }
-  });
-
-  std::size_t synapse_counter = 0;
-  for (const Stage& stage : stages_) {
+  std::size_t synapse = 0;
+  for (std::size_t si = 0; si < end; ++si) {
+    const Stage& stage = stages_[si];
     if (const auto* dense = std::get_if<DenseStage>(&stage)) {
-      const SynapseData& syn = dense->synapse;
       std::vector<std::int64_t>& next = scratch.next;
       next.assign(static_cast<std::size_t>(dense->out), 0);
       const man::backend::DenseLayerPlan& plan =
@@ -631,10 +744,10 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
         std::vector<std::int64_t>& multiples = scratch.multiples;
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
-          arm_staging_window(scratch.caches[synapse_counter],
-                             plan.in_min_raw, plan.in_max_raw);
+          arm_staging_window(scratch.caches[synapse], plan.in_min_raw,
+                             plan.in_max_raw);
           stage_multiples(buffer, static_cast<std::size_t>(plan.k),
-                          scratch.caches[synapse_counter], multiples.data());
+                          scratch.caches[synapse], multiples.data());
           multiples[plan.zero_slot] = 0;
         });
         if (profile != nullptr) profile->staged_values += buffer.size();
@@ -642,14 +755,9 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
           kernel.accumulate_dense(plan, multiples.data(), next.data());
         });
       }
-
-      LayerStats& ls = stats.layers[synapse_counter++];
-      ls.macs += syn.macs;
-      ls.bank_activations += syn.bank_activations;
-      ls.ops += syn.ops_per_inference;
+      charge(stats.layers[synapse++], dense->synapse, 1);
       std::swap(buffer, next);
     } else if (const auto* conv = std::get_if<ConvStage>(&stage)) {
-      const SynapseData& syn = conv->synapse;
       std::vector<std::int64_t>& next = scratch.next;
       next.resize(static_cast<std::size_t>(conv->oc) * conv->oh * conv->ow);
       const man::backend::ConvLayerPlan& plan =
@@ -667,11 +775,11 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
         std::vector<std::int64_t>& multiples = scratch.multiples;
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
-          arm_staging_window(scratch.caches[synapse_counter],
-                             plan.in_min_raw, plan.in_max_raw);
+          arm_staging_window(scratch.caches[synapse], plan.in_min_raw,
+                             plan.in_max_raw);
           stage_multiples_lane_major(buffer,
                                      static_cast<std::size_t>(plan.k),
-                                     scratch.caches[synapse_counter],
+                                     scratch.caches[synapse],
                                      multiples.data());
           std::fill(multiples.begin() + plan.zero_base, multiples.end(), 0);
         });
@@ -680,11 +788,7 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
           kernel.accumulate_conv(plan, multiples.data(), next.data());
         });
       }
-
-      LayerStats& ls = stats.layers[synapse_counter++];
-      ls.macs += syn.macs;
-      ls.bank_activations += syn.bank_activations;
-      ls.ops += syn.ops_per_inference;
+      charge(stats.layers[synapse++], conv->synapse, 1);
       std::swap(buffer, next);
     } else if (const auto* pool = std::get_if<PoolStage>(&stage)) {
       std::vector<std::int64_t>& next = scratch.next;
@@ -720,8 +824,99 @@ void FixedNetwork::infer_into(std::span<const float> pixels,
       if (profile != nullptr) profile->lut_values += buffer.size();
     }
   }
-  stats.inferences += 1;
-  std::copy(buffer.begin(), buffer.end(), out.begin());
+}
+
+void FixedNetwork::forward_tile(std::span<const float> inputs,
+                                std::span<std::int64_t> outputs, int lanes,
+                                EngineStats& stats, InferScratch& scratch,
+                                const man::backend::KernelBackend& kernel) const {
+  const auto n = static_cast<std::size_t>(lanes);
+  PhaseProfile* const profile = scratch.profile;
+  std::vector<std::int64_t>& tile = scratch.tile;
+
+  // Stages before the tail run sample by sample; each sample's output
+  // lands in its lane of the tile.
+  if (tail_begin_ > 0) {
+    for (std::size_t b = 0; b < n; ++b) {
+      std::vector<std::int64_t>& buffer = scratch.buffer;
+      timed_phase(profile, &PhaseProfile::quantize_s, [&] {
+        quantize_pixels(spec_.activation_format,
+                        inputs.subspan(b * input_size_, input_size_), buffer);
+      });
+      run_stages(tail_begin_, stats, scratch, kernel);
+      tile.resize(buffer.size() * n);
+      for (std::size_t c = 0; c < buffer.size(); ++c) {
+        tile[c * n + b] = buffer[c];
+      }
+    }
+  }
+
+  std::size_t synapse = tail_synapse_;
+  for (std::size_t si = tail_begin_; si < stages_.size(); ++si) {
+    if (const auto* lut = std::get_if<LutStage>(&stages_[si])) {
+      timed_phase(profile, &PhaseProfile::lut_s, [&] {
+        for (std::int64_t& v : tile) v = lut->lut.apply_raw(v);
+      });
+      if (profile != nullptr) profile->lut_values += tile.size();
+      continue;
+    }
+    const auto& dense = std::get<DenseStage>(stages_[si]);
+    const man::backend::DenseLayerPlan& plan =
+        plans_[static_cast<std::size_t>(dense.plan_index)];
+    const auto rows = static_cast<std::size_t>(plan.rows);
+    const auto cols = static_cast<std::size_t>(plan.cols);
+    std::vector<std::int64_t>& next = scratch.tile_next;
+    next.resize(rows * n);
+
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::fill_n(next.begin() + static_cast<std::ptrdiff_t>(r * n), n,
+                  plan.biases[r]);
+    }
+    // Column blocks of about kTileBlockSlots staged slots keep the
+    // slot-major multiples L1-resident while every row streams over
+    // them; the first tail stage quantizes its pixels as it stages
+    // them, so no lane-major copy of the input is ever made.
+    const auto k = static_cast<std::size_t>(plan.k);
+    const std::size_t block_cols =
+        std::max<std::size_t>(1, kTileBlockSlots / (k * n));
+    std::vector<std::int64_t>& block = scratch.multiples;
+    block.resize(block_cols * k * n);
+    man::core::PrecomputerCache& cache = scratch.caches[synapse];
+    arm_staging_window(cache, plan.in_min_raw, plan.in_max_raw);
+    const bool from_pixels = si == tail_begin_ && tail_begin_ == 0;
+    for (std::size_t c0 = 0; c0 < cols; c0 += block_cols) {
+      const std::size_t c1 = std::min(cols, c0 + block_cols);
+      timed_phase(profile, &PhaseProfile::staging_s, [&] {
+        if (from_pixels) {
+          stage_tile_block(
+              [&](std::size_t c, std::size_t b) -> std::int64_t {
+                return spec_.activation_format.quantize(
+                    static_cast<double>(inputs[b * input_size_ + c]));
+              },
+              c0, c1, n, k, cache, block.data());
+        } else {
+          stage_tile_block(
+              [&](std::size_t c, std::size_t b) { return tile[c * n + b]; },
+              c0, c1, n, k, cache, block.data());
+        }
+      });
+      timed_phase(profile, &PhaseProfile::kernel_s, [&] {
+        kernel.accumulate_dense_batch(plan, block.data(), lanes,
+                                      static_cast<int>(c0),
+                                      static_cast<int>(c1), next.data());
+      });
+    }
+    if (profile != nullptr) profile->staged_values += cols * n;
+    charge(stats.layers[synapse++], dense.synapse, n);
+    std::swap(tile, next);
+  }
+
+  stats.inferences += n;
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t r = 0; r < output_size_; ++r) {
+      outputs[b * output_size_ + r] = tile[r * n + b];
+    }
+  }
 }
 
 void FixedNetwork::infer_into(std::span<const float> pixels,

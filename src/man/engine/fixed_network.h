@@ -54,7 +54,9 @@ namespace man::engine {
 /// sweep, the kernel-backend accumulation, pooling, and input
 /// quantization. Attach to InferScratch::profile to collect;
 /// bench_fig9_energy uses it to emit the per-element breakdown that
-/// makes staging/LUT regressions attributable.
+/// makes staging/LUT regressions attributable. A batch tile whose
+/// dense tail starts at the first stage quantizes while it stages, so
+/// that quantization is charged to staging_s.
 struct PhaseProfile {
   double quantize_s = 0.0;
   double staging_s = 0.0;
@@ -161,14 +163,17 @@ class FixedNetwork {
     std::vector<std::int64_t> buffer;  ///< current stage activations
     std::vector<std::int64_t> next;    ///< next stage activations
     /// Bank outputs: k-strided element-major for dense stages,
-    /// lane-major (plus zero region) for conv stages.
+    /// lane-major (plus zero region) for conv stages, one slot-major
+    /// column block for batched dense-tail stages.
     std::vector<std::int64_t> multiples;
     std::vector<man::core::PrecomputerCache> caches;  ///< per synapse stage
-    /// Output staging for callers that loop infer_into per sample
-    /// (e.g. BatchRunner's Example path) without re-allocating.
-    std::vector<std::int64_t> raw_out;
-    /// Non-null: infer_into() times its per-element phases into this
-    /// (adds two clock reads per stage — leave null on hot paths).
+    /// Dense-tail activations of one batch tile (infer_batch_into),
+    /// lane-major: value c of sample b at c·lanes + b; ping-pong.
+    std::vector<std::int64_t> tile;
+    std::vector<std::int64_t> tile_next;
+    /// Non-null: infer_into()/infer_batch_into() time their
+    /// per-element phases into this (adds two clock reads per stage —
+    /// leave null on hot paths).
     PhaseProfile* profile = nullptr;
   };
   [[nodiscard]] InferScratch make_scratch() const;
@@ -197,6 +202,21 @@ class FixedNetwork {
   void infer_into(std::span<const float> pixels, std::span<std::int64_t> out,
                   EngineStats& stats, InferScratch& scratch,
                   const man::backend::KernelBackend& kernel) const;
+
+  /// Batched forward pass over `count` samples stored contiguously in
+  /// `inputs` (count × input_size() floats), raw accumulators into
+  /// `outputs` (count × output_size()). The stages before the dense
+  /// tail — the longest suffix of ASM dense and LUT stages, from its
+  /// first ASM dense stage on — run per sample; the tail runs
+  /// batch-as-lanes over tiles of up to kMaxBatchLanes samples
+  /// (KernelBackend::accumulate_dense_batch). A tile narrower than
+  /// kernel.min_batch_lanes() runs infer_into sample by sample
+  /// instead. Outputs and `stats` are bit-identical to calling
+  /// infer_into on each sample in order.
+  void infer_batch_into(std::span<const float> inputs,
+                        std::span<std::int64_t> outputs, EngineStats& stats,
+                        InferScratch& scratch,
+                        const man::backend::KernelBackend& kernel) const;
 
   /// Convenience overload with throwaway scratch (no cross-sample
   /// bank reuse).
@@ -297,8 +317,26 @@ class FixedNetwork {
 
   /// Static stage-graph pass shared by both constructors: validates
   /// that consecutive stages agree on activation counts and records
-  /// input_size_/output_size_.
+  /// input_size_/output_size_ and tail_begin_.
   void link_stages();
+
+  /// Re-binds a foreign or default-constructed scratch's caches and
+  /// sizes default-constructed stats; rejects a mismatched layout.
+  void prepare(EngineStats& stats, InferScratch& scratch) const;
+  /// One sample through every stage (sizes already validated).
+  void forward_one(std::span<const float> pixels, std::span<std::int64_t> out,
+                   EngineStats& stats, InferScratch& scratch,
+                   const man::backend::KernelBackend& kernel) const;
+  /// Stages [0, end) on one sample's quantized pixels in
+  /// scratch.buffer, leaving that stage's output there.
+  void run_stages(std::size_t end, EngineStats& stats, InferScratch& scratch,
+                  const man::backend::KernelBackend& kernel) const;
+  /// One tile of `lanes` samples: per-sample stages before the tail,
+  /// then the dense tail batch-as-lanes.
+  void forward_tile(std::span<const float> inputs,
+                    std::span<std::int64_t> outputs, int lanes,
+                    EngineStats& stats, InferScratch& scratch,
+                    const man::backend::KernelBackend& kernel) const;
   [[nodiscard]] const SynapseData& synapse_at(std::size_t stage_index) const;
 
   /// The staging window every synapse stage's inputs lie in (the
@@ -320,6 +358,10 @@ class FixedNetwork {
   const man::backend::KernelBackend* default_kernel_ = nullptr;
   std::size_t input_size_ = 0;
   std::size_t output_size_ = 0;
+  /// First stage of the dense tail (stages_.size() when there is
+  /// none) and the synapse index of that stage.
+  std::size_t tail_begin_ = 0;
+  std::size_t tail_synapse_ = 0;
   EngineStats stats_;
 };
 

@@ -371,6 +371,43 @@ TEST(BatchRunner, StatsAccumulateAcrossRunsAndReset) {
   ASSERT_EQ(runner.stats().layers.size(), 2u);
 }
 
+// Shard scratch persists across run() calls: batches of changing size
+// (so shard counts and tile widths change between runs) stay
+// bit-identical to the sequential path, and each run's EngineStats
+// equal that batch's sequential stats.
+TEST(BatchRunner, PersistentShardScratchAcrossChangingBatchSizes) {
+  const QuantSpec spec = QuantSpec::bits8();
+  Network net = make_cnn(47);
+  const ProjectionPlan projection(spec, AlphabetSet::four(), 2);
+  projection.project_network(net);
+  FixedNetwork engine(
+      net, spec, LayerAlphabetPlan::uniform_asm(2, AlphabetSet::four()));
+  const std::size_t in = engine.input_size();
+  const std::size_t out = engine.output_size();
+
+  BatchRunner runner(engine, BatchOptions{.workers = 3,
+                                          .min_samples_per_worker = 4});
+  std::uint64_t seed = 500;
+  for (const std::size_t samples : {64u, 1u, 17u, 40u, 5u, 64u, 33u, 2u}) {
+    const auto batch = random_batch(samples, in, ++seed);
+    std::vector<std::int64_t> expected(samples * out);
+    EngineStats expected_stats = engine.make_stats();
+    auto scratch = engine.make_scratch();
+    for (std::size_t i = 0; i < samples; ++i) {
+      engine.infer_into(std::span<const float>(batch).subspan(i * in, in),
+                        std::span<std::int64_t>(expected).subspan(i * out,
+                                                                  out),
+                        expected_stats, scratch);
+    }
+
+    runner.reset_stats();
+    std::vector<std::int64_t> actual(samples * out);
+    runner.run(batch, actual);
+    EXPECT_EQ(actual, expected) << "samples=" << samples;
+    expect_stats_eq(runner.stats(), expected_stats);
+  }
+}
+
 // The per-shard CSHM memo: one structural evaluation per distinct
 // input value, replayed from the cache afterwards.
 TEST(PrecomputerCacheReuse, LookupMatchesBankAndCountsMissesOnce) {
