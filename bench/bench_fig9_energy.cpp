@@ -256,12 +256,12 @@ class ForcedBatchKernel final : public man::backend::KernelBackend {
     return inner_.accelerated();
   }
   void accumulate_dense(const man::backend::DenseLayerPlan& plan,
-                        const std::int64_t* multiples,
+                        const std::int32_t* multiples,
                         std::int64_t* out) const override {
     inner_.accumulate_dense(plan, multiples, out);
   }
   void accumulate_dense_batch(const man::backend::DenseLayerPlan& plan,
-                              const std::int64_t* multiples, int lanes,
+                              const std::int32_t* multiples, int lanes,
                               int col_begin, int col_end,
                               std::int64_t* out) const override {
     inner_.accumulate_dense_batch(plan, multiples, lanes, col_begin, col_end,
@@ -274,7 +274,7 @@ class ForcedBatchKernel final : public man::backend::KernelBackend {
     inner_.exact_dense(plan, activations, out);
   }
   void accumulate_conv(const man::backend::ConvLayerPlan& plan,
-                       const std::int64_t* multiples,
+                       const std::int32_t* multiples,
                        std::int64_t* out) const override {
     inner_.accumulate_conv(plan, multiples, out);
   }

@@ -77,8 +77,10 @@ void write_array_ref(BlobWriter& dir, BlobWriter& arrays,
 void write_asm_weights_ref(BlobWriter& dir, BlobWriter& arrays,
                            const PlanArray<AsmWeight>& values) {
   std::vector<AsmWeight> clean(values.size());
-  std::memset(static_cast<void*>(clean.data()), 0,
-              clean.size() * sizeof(AsmWeight));
+  if (!clean.empty()) {  // exact plans have none; memset(nullptr) is UB
+    std::memset(static_cast<void*>(clean.data()), 0,
+                clean.size() * sizeof(AsmWeight));
+  }
   for (std::size_t i = 0; i < values.size(); ++i) {
     clean[i].step_begin = values[i].step_begin;
     clean[i].step_count = values[i].step_count;
@@ -122,8 +124,6 @@ void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
   dir.write_i32(plan.planes);
   dir.write_u32(plan.exact ? 1 : 0);
   dir.write_u32(plan.zero_slot);
-  dir.write_i64(plan.in_min_raw);
-  dir.write_i64(plan.in_max_raw);
   write_array_ref(dir, arrays, plan.weights);
   write_array_ref(dir, arrays, plan.biases);
   write_asm_weights_ref(dir, arrays, plan.asm_weights);
@@ -148,8 +148,6 @@ void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
   dir.write_i32(plan.planes);
   dir.write_u32(plan.exact ? 1 : 0);
   dir.write_u32(plan.zero_base);
-  dir.write_i64(plan.in_min_raw);
-  dir.write_i64(plan.in_max_raw);
   write_tile(dir, plan.tile_avx2);
   write_tile(dir, plan.tile_avx512);
   dir.write_u32(plan.tiles_tuned ? 1 : 0);
@@ -221,15 +219,13 @@ DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file) {
   plan.planes = dir.read_i32();
   plan.exact = dir.read_u32() != 0;
   plan.zero_slot = dir.read_u32();
-  plan.in_min_raw = dir.read_i64();
-  plan.in_max_raw = dir.read_i64();
   plan.weights = read_array_ref<std::int32_t>(dir, file);
   plan.biases = read_array_ref<std::int64_t>(dir, file);
   plan.asm_weights = read_array_ref<AsmWeight>(dir, file);
   plan.steps = read_array_ref<AsmStep>(dir, file);
   plan.idx = read_array_ref<std::uint32_t>(dir, file);
-  plan.shifts = read_array_ref<std::int64_t>(dir, file);
-  plan.sign_masks = read_array_ref<std::int64_t>(dir, file);
+  plan.shifts = read_array_ref<std::int32_t>(dir, file);
+  plan.sign_masks = read_array_ref<std::int32_t>(dir, file);
 
   if (plan.rows < 0 || plan.cols < 0 || plan.cols_padded < plan.cols) {
     throw SerializationError("plan artifact: bad dense geometry");
@@ -267,8 +263,6 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file) {
   plan.planes = dir.read_i32();
   plan.exact = dir.read_u32() != 0;
   plan.zero_base = dir.read_u32();
-  plan.in_min_raw = dir.read_i64();
-  plan.in_max_raw = dir.read_i64();
   plan.tile_avx2 = read_tile(dir);
   plan.tile_avx512 = read_tile(dir);
   plan.tiles_tuned = dir.read_u32() != 0;
@@ -278,8 +272,8 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file) {
   plan.asm_weights = read_array_ref<AsmWeight>(dir, file);
   plan.steps = read_array_ref<AsmStep>(dir, file);
   plan.idx = read_array_ref<std::uint32_t>(dir, file);
-  plan.shifts = read_array_ref<std::int64_t>(dir, file);
-  plan.sign_masks = read_array_ref<std::int64_t>(dir, file);
+  plan.shifts = read_array_ref<std::int32_t>(dir, file);
+  plan.sign_masks = read_array_ref<std::int32_t>(dir, file);
 
   if (plan.oc < 1 || plan.ic < 1 || plan.kernel < 1 ||
       plan.ih < plan.kernel || plan.iw < plan.kernel ||

@@ -23,6 +23,13 @@
 // Every validation failure — truncation, flipped payload byte, wrong
 // version, wrong config key — throws util::SerializationError, so
 // callers fall back to compiling instead of serving a corrupt plan.
+// The loader checks the blob, not the plans' contents: it does not
+// re-run the int32 overflow proof compile_plan() ran before saving
+// (that would page in every plan at load). The ASM kernels' lane
+// arithmetic is defined for every shift and magnitude, so a crafted
+// blob that passes the checksum with out-of-bound shifts or biases
+// yields wrong numbers, not undefined behaviour (its idx cells are
+// trusted as written).
 #ifndef MAN_ARTIFACT_PLAN_ARTIFACT_H
 #define MAN_ARTIFACT_PLAN_ARTIFACT_H
 
@@ -33,8 +40,11 @@
 
 namespace man::artifact {
 
-/// Artifact format version; readers reject anything else.
-inline constexpr std::uint32_t kArtifactVersion = 1;
+/// Artifact format version; readers reject anything else. Version 2:
+/// ASM plan shifts and sign masks are int32 (the kernel lane width),
+/// and plans no longer carry a staging window (the engine derives it
+/// from the QuantSpec).
+inline constexpr std::uint32_t kArtifactVersion = 2;
 
 /// Serializes `engine` into a flat blob and publishes it at `path`
 /// atomically (same-directory temp file + rename, so a concurrent

@@ -1,14 +1,15 @@
-// AVX-512 kernel: 8-wide int64 over the quartet planes — the AVX2
+// AVX-512 kernel: 16-wide int32 over the quartet planes — the AVX2
 // backend's structure at twice the vector width (zmm position tiles
-// for conv, 8-lane gathers for dense) plus the deeper register file
+// for conv, 16-lane gathers for dense) plus the deeper register file
 // (32 zmm) that makes taller row tiles profitable, plus lane masking
-// for ragged row tails (no scalar remainder). Bit-identical to
-// the scalar reference for the same reason the AVX2 kernel is: every
-// operation (logical left shift, two's-complement negation, wrapping
-// add) matches the scalar op exactly; only the commutative summation
-// order differs. AVX-512VNNI is deliberately not used: it accelerates
-// int8/int16 dot products, and the CSHM datapath is int64 shift-add —
-// there is no multiply to fuse.
+// for ragged row and batch tails (no scalar remainder; a 10-wide conv
+// row is one masked vector). Bit-identical to the scalar reference for
+// the same reason the AVX2 kernel is: every lane op (logical left
+// shift, two's-complement negation, wrapping add) is exact modulo
+// 2^32, only the commutative summation order differs, and a plan
+// within its magnitude_bound() never leaves the int32 range. The CSHM
+// datapath is shift-add, so there is no multiply for AVX-512VNNI to
+// fuse.
 //
 // Compile-time gate: this translation unit is built with -mavx512f
 // -mavx512vl and MAN_HAVE_AVX512 only when the build enables it
@@ -17,6 +18,10 @@
 // runtime — the backend stays registered and runs the portable plane
 // loop (shared with the blocked backend), so MAN_BACKEND=avx512 is
 // always safe and always bit-identical.
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include "man/backend/backend_impls.h"
 #include "man/backend/planes_kernel.h"
 
@@ -30,8 +35,8 @@ namespace {
 
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
 
-/// int64 lanes of one 512-bit vector.
-inline constexpr int kZmmLanes = 8;
+/// int32 lanes of one 512-bit vector.
+inline constexpr int kZmmLanes = 16;
 
 bool cpu_has_avx512() {
 #if defined(__GNUC__) || defined(__clang__)
@@ -42,142 +47,155 @@ bool cpu_has_avx512() {
 #endif
 }
 
-std::int64_t hsum_epi64_256(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i sum = _mm_add_epi64(lo, hi);
-  return _mm_extract_epi64(sum, 0) + _mm_extract_epi64(sum, 1);
+/// Mask selecting the first `live` (0..16) of 16 lanes.
+__mmask16 lane_mask(int live) {
+  return static_cast<__mmask16>((1u << live) - 1u);
+}
+
+/// Wrapping sum of the 16 int32 lanes (vector adds throughout: GCC's
+/// _mm512_reduce_add_epi32 finishes in signed scalar arithmetic, which
+/// must not wrap).
+std::uint32_t hsum_epi32(__m512i v) {
+  const __m256i half =
+      _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xF, v, 0),
+                       _mm512_maskz_extracti64x4_epi64(0xF, v, 1));
+  __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(half),
+                              _mm256_extracti128_si256(half, 1));
+  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
+  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
+  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(sum));
+}
+
+/// (t ^ sign) - sign: two's-complement negation under a -1 mask.
+__m512i apply_sign(__m512i t, __m512i sign) {
+  return _mm512_sub_epi32(_mm512_xor_si512(t, sign), sign);
+}
+
+/// Writes (kAdd: adds) the int32 lanes of `v` that `mask` selects,
+/// sign-extended, to the int64 slots dst[0..16).
+template <bool kAdd>
+void store_widened(std::int64_t* dst, __m512i v, __mmask16 mask) {
+  // Zero-masked extracts: the plain cast/extract intrinsics of GCC 12
+  // read an "undefined" vector that -Wuninitialized flags once the
+  // sanitizers change inlining.
+  const __m512i halves[2] = {
+      _mm512_cvtepi32_epi64(_mm512_maskz_extracti64x4_epi64(0xF, v, 0)),
+      _mm512_cvtepi32_epi64(_mm512_maskz_extracti64x4_epi64(0xF, v, 1))};
+  for (int h = 0; h < 2; ++h) {
+    const auto m = static_cast<__mmask8>(mask >> (8 * h));
+    if (m == 0) continue;
+    __m512i value = halves[h];
+    if constexpr (kAdd) {
+      value = _mm512_add_epi64(value, _mm512_maskz_loadu_epi64(m, dst + 8 * h));
+    }
+    _mm512_mask_storeu_epi64(dst + 8 * h, m, value);
+  }
 }
 
 void accumulate_planes_avx512(const DenseLayerPlan& plan,
-                              const std::int64_t* multiples,
+                              const std::int32_t* multiples,
                               std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
+  const std::int32_t* shifts = plan.shifts.data();
+  const std::int32_t* signs = plan.sign_masks.data();
   for (int r = 0; r < plan.rows; ++r) {
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    __m512i acc8 = _mm512_setzero_si512();
-    __m256i acc4 = _mm256_setzero_si256();
-    const int main = plan.cols_padded / kZmmLanes * kZmmLanes;
-    for (int c = 0; c < main; c += kZmmLanes) {
+    __m512i acc = _mm512_setzero_si512();
+    // cols_padded is a multiple of kLaneWidth (8), not 16: the last
+    // group of a row may be a half-masked vector.
+    for (int c = 0; c < plan.cols_padded; c += kZmmLanes) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
+      const __mmask16 live =
+          lane_mask(std::min(kZmmLanes, plan.cols_padded - c));
       __m512i product = _mm512_setzero_si512();
       for (int q = 0; q < plan.planes; ++q) {
         const std::size_t pc = q * stride + cell;
-        const __m256i vidx =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + pc));
-        const __m512i m = _mm512_i32gather_epi64(vidx, multiples, 8);
-        const __m512i sh = _mm512_loadu_si512(shifts + pc);
-        product = _mm512_add_epi64(product, _mm512_sllv_epi64(m, sh));
+        const __m512i vidx = _mm512_maskz_loadu_epi32(live, idx + pc);
+        const __m512i m = _mm512_mask_i32gather_epi32(
+            _mm512_setzero_si512(), live, vidx, multiples, 4);
+        const __m512i sh = _mm512_maskz_loadu_epi32(live, shifts + pc);
+        product = _mm512_add_epi32(product, _mm512_sllv_epi32(m, sh));
       }
-      const __m512i sign = _mm512_loadu_si512(signs + cell);
-      product = _mm512_sub_epi64(_mm512_xor_si512(product, sign), sign);
-      acc8 = _mm512_add_epi64(acc8, product);
+      const __m512i sign = _mm512_maskz_loadu_epi32(live, signs + cell);
+      acc = _mm512_add_epi32(acc, apply_sign(product, sign));
     }
-    // cols_padded is a multiple of kLaneWidth (4), not 8 — one ymm
-    // pass covers the remainder.
-    for (int c = main; c < plan.cols_padded; c += kLaneWidth) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      __m256i product = _mm256_setzero_si256();
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const __m128i vidx =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + pc));
-        const __m256i m = _mm256_i32gather_epi64(
-            reinterpret_cast<const long long*>(multiples), vidx, 8);
-        const __m256i sh =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(shifts + pc));
-        product = _mm256_add_epi64(product, _mm256_sllv_epi64(m, sh));
-      }
-      const __m256i sign =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(signs + cell));
-      product = _mm256_sub_epi64(_mm256_xor_si256(product, sign), sign);
-      acc4 = _mm256_add_epi64(acc4, product);
-    }
-    out[r] = plan.biases[static_cast<std::size_t>(r)] +
-             _mm512_reduce_add_epi64(acc8) + hsum_epi64_256(acc4);
+    out[r] = widen(static_cast<std::uint32_t>(
+                       plan.biases[static_cast<std::size_t>(r)]) +
+                   hsum_epi32(acc));
   }
 }
 
 /// Batch-as-lanes dense kernel: NV zmm vectors cover the tile's lanes
-/// (the last one lane-masked when lanes % 8 != 0, so a ragged tile
+/// (the last one lane-masked when lanes % 16 != 0, so a ragged tile
 /// needs no scalar tail), and every weight step is one broadcast-count
 /// shift of NV plain loads — the conv position tile with samples for
-/// positions, where accumulate_planes_avx512 spends a vpgatherqq per
-/// 8 weights of one sample.
-/// Batch-as-lanes dense kernel: NV zmm vectors cover the tile's lanes
-/// (the last one lane-masked when lanes % 8 != 0, so a ragged tile
-/// needs no scalar tail), and every weight step is one broadcast
-/// shift of NV plain loads — the conv position tile with samples for
-/// positions, where accumulate_planes_avx512 spends a vpgatherqq per
-/// 8 weights of one sample. PLANES > 0 fixes the plan's plane count
-/// at compile time (the shipped 8/12-bit plans have 1 or 2), which
+/// positions, where accumulate_planes_avx512 spends a gather per 16
+/// weights of one sample. The block's int32 sums are sign-extended
+/// onto `out` once per row. PLANES > 0 fixes the plan's plane count at
+/// compile time (the shipped 8/12-bit plans have 1 or 2), which
 /// unrolls the step loop; 0 walks plan.planes at run time.
 template <int NV, int PLANES>
 void dense_batch_avx512(const DenseLayerPlan& plan,
-                        const std::int64_t* multiples, int lanes,
+                        const std::int32_t* multiples, int lanes,
                         int col_begin, int col_end, std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
+  const std::int32_t* shifts = plan.shifts.data();
+  const std::int32_t* signs = plan.sign_masks.data();
   const int planes = PLANES > 0 ? PLANES : plan.planes;
   const std::uint32_t zero_slot = plan.zero_slot;
   const auto cols_padded = static_cast<std::size_t>(plan.cols_padded);
   const auto n = static_cast<std::size_t>(lanes);
   const std::uint32_t block_slot = static_cast<std::uint32_t>(col_begin) *
                                    static_cast<std::uint32_t>(plan.k);
-  const int tail_lanes = lanes - (NV - 1) * kZmmLanes;
-  const auto tail = static_cast<__mmask8>((1u << tail_lanes) - 1u);
-  const auto load = [tail](const std::int64_t* src, int v) {
+  const __mmask16 tail = lane_mask(lanes - (NV - 1) * kZmmLanes);
+  const auto load = [tail](const std::int32_t* src, int v) {
     return v + 1 < NV ? _mm512_loadu_si512(src + v * kZmmLanes)
-                      : _mm512_maskz_loadu_epi64(tail, src + v * kZmmLanes);
+                      : _mm512_maskz_loadu_epi32(tail, src + v * kZmmLanes);
   };
   for (int r = 0; r < plan.rows; ++r) {
-    std::int64_t* dst = out + static_cast<std::size_t>(r) * n;
     const std::size_t row = static_cast<std::size_t>(r) * cols_padded;
     __m512i acc[NV];
-    for (int v = 0; v < NV; ++v) acc[v] = load(dst, v);
+    for (int v = 0; v < NV; ++v) acc[v] = _mm512_setzero_si512();
     for (int c = col_begin; c < col_end; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
       const std::uint32_t first = idx[cell];
       if (first == zero_slot) continue;  // zero-step weight
       __m512i product[NV];
-      const __m512i sh0 = _mm512_set1_epi64(shifts[cell]);
-      const std::int64_t* src0 = multiples + (first - block_slot) * n;
+      const __m128i sh0 = _mm_cvtsi32_si128(shifts[cell]);
+      const std::int32_t* src0 = multiples + (first - block_slot) * n;
       for (int v = 0; v < NV; ++v) {
-        product[v] = _mm512_sllv_epi64(load(src0, v), sh0);
+        product[v] = _mm512_sll_epi32(load(src0, v), sh0);
       }
       for (int q = 1; q < planes; ++q) {
         const std::size_t pc = q * stride + cell;
         const std::uint32_t cell_idx = idx[pc];
         if (cell_idx == zero_slot) break;  // steps are packed
-        const __m512i sh = _mm512_set1_epi64(shifts[pc]);
-        const std::int64_t* src = multiples + (cell_idx - block_slot) * n;
+        const __m128i sh = _mm_cvtsi32_si128(shifts[pc]);
+        const std::int32_t* src = multiples + (cell_idx - block_slot) * n;
         for (int v = 0; v < NV; ++v) {
           product[v] =
-              _mm512_add_epi64(product[v], _mm512_sllv_epi64(load(src, v), sh));
+              _mm512_add_epi32(product[v], _mm512_sll_epi32(load(src, v), sh));
         }
       }
-      const __m512i sign = _mm512_set1_epi64(signs[cell]);
+      const __m512i sign = _mm512_set1_epi32(signs[cell]);
       for (int v = 0; v < NV; ++v) {
-        acc[v] = _mm512_add_epi64(
-            acc[v], _mm512_sub_epi64(_mm512_xor_si512(product[v], sign), sign));
+        acc[v] = _mm512_add_epi32(acc[v], apply_sign(product[v], sign));
       }
     }
-    for (int v = 0; v + 1 < NV; ++v) {
-      _mm512_storeu_si512(dst + v * kZmmLanes, acc[v]);
+    std::int64_t* dst = out + static_cast<std::size_t>(r) * n;
+    for (int v = 0; v < NV; ++v) {
+      store_widened<true>(dst + v * kZmmLanes, acc[v],
+                          v + 1 < NV ? lane_mask(kZmmLanes) : tail);
     }
-    _mm512_mask_storeu_epi64(dst + (NV - 1) * kZmmLanes, tail, acc[NV - 1]);
   }
 }
 
 /// Plane-count dispatch for one vector count.
 template <int NV>
 void dense_batch_planes_avx512(const DenseLayerPlan& plan,
-                               const std::int64_t* multiples, int lanes,
+                               const std::int32_t* multiples, int lanes,
                                int col_begin, int col_end, std::int64_t* out) {
   switch (plan.planes) {
     case 1:
@@ -199,23 +217,29 @@ void dense_batch_planes_avx512(const DenseLayerPlan& plan,
 /// itself before the autotuner has spoken.
 inline constexpr int kConvRowTile512 = 6;
 
-/// One vectorized tile: RN output rows × CN 8-lane column groups
-/// starting at (oy0, ox), every filter — conv_tile_avx2 at zmm width.
-template <int RN, int CN>
+/// One tile: RN output rows × CN 16-lane column groups starting at
+/// (oy0, ox), every filter — conv_tile_avx2 at zmm width. kTail makes
+/// it the row tail: one column group of `live` positions under a lane
+/// mask (masked-out lanes are neither read nor written; active lanes
+/// run the exact same ops), where the AVX2 kernel's narrower vectors
+/// would leave more positions to a second tail.
+template <int RN, int CN, bool kTail>
 void conv_tile_avx512(const ConvLayerPlan& plan,
-                      const std::int64_t* multiples, std::int64_t* out,
-                      int oy0, int ox) {
+                      const std::int32_t* multiples, std::int64_t* out,
+                      int oy0, int ox, int live) {
+  static_assert(!kTail || CN == 1, "a row tail is one column group");
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
+  const std::int32_t* shifts = plan.shifts.data();
+  const std::int32_t* signs = plan.sign_masks.data();
   const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
+  const __mmask16 mask = lane_mask(live);
   for (int r = 0; r < plan.oc; ++r) {
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
     __m512i acc[RN * CN];
-    const __m512i bias =
-        _mm512_set1_epi64(plan.biases[static_cast<std::size_t>(r)]);
+    const __m512i bias = _mm512_set1_epi32(
+        static_cast<std::int32_t>(plan.biases[static_cast<std::size_t>(r)]));
     for (int t = 0; t < RN * CN; ++t) acc[t] = bias;
     for (int c = 0; c < plan.cols_padded; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
@@ -226,205 +250,108 @@ void conv_tile_avx512(const ConvLayerPlan& plan,
         const std::size_t pc = q * stride + cell;
         const std::uint32_t cell_idx = idx[pc];
         if (cell_idx == plan.zero_base) break;  // steps are packed
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
-        const std::int64_t* src = multiples + cell_idx + ebase0;
+        const __m128i sh = _mm_cvtsi32_si128(shifts[pc]);
+        const std::int32_t* src = multiples + cell_idx + ebase0;
         for (int ty = 0; ty < RN; ++ty) {
           for (int tx = 0; tx < CN; ++tx) {
-            const __m512i m = _mm512_loadu_si512(
-                src + static_cast<std::size_t>(ty) * plan.iw +
-                static_cast<std::size_t>(tx) * kZmmLanes);
-            product[ty * CN + tx] = _mm512_add_epi64(
-                product[ty * CN + tx], _mm512_sll_epi64(m, sh));
+            const std::int32_t* p = src +
+                                    static_cast<std::size_t>(ty) * plan.iw +
+                                    static_cast<std::size_t>(tx) * kZmmLanes;
+            const __m512i m = kTail ? _mm512_maskz_loadu_epi32(mask, p)
+                                    : _mm512_loadu_si512(p);
+            product[ty * CN + tx] = _mm512_add_epi32(
+                product[ty * CN + tx], _mm512_sll_epi32(m, sh));
           }
         }
       }
-      const __m512i sign = _mm512_set1_epi64(signs[cell]);
+      const __m512i sign = _mm512_set1_epi32(signs[cell]);
       for (int t = 0; t < RN * CN; ++t) {
-        acc[t] = _mm512_add_epi64(
-            acc[t],
-            _mm512_sub_epi64(_mm512_xor_si512(product[t], sign), sign));
+        acc[t] = _mm512_add_epi32(acc[t], apply_sign(product[t], sign));
       }
     }
     for (int ty = 0; ty < RN; ++ty) {
       for (int tx = 0; tx < CN; ++tx) {
-        _mm512_storeu_si512(
-            out + static_cast<std::size_t>(r) * positions +
-                static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
-                static_cast<std::size_t>(tx) * kZmmLanes,
-            acc[ty * CN + tx]);
+        store_widened<false>(out + static_cast<std::size_t>(r) * positions +
+                                 static_cast<std::size_t>(oy0 + ty) * plan.ow +
+                                 ox + static_cast<std::size_t>(tx) * kZmmLanes,
+                             acc[ty * CN + tx], mask);
       }
     }
   }
 }
 
-/// Masked tail tile: RN output rows × one partial 8-lane column group
-/// covering the final ow % 8 positions of each row — the arithmetic
-/// of conv_tile_avx512<RN, 1> with lane masking standing in for the
-/// scalar tail the narrower ISAs need (the AVX2 kernel loses up to 3
-/// positions per row to scalar code; lane masking loses none).
-/// Bit-identity is untouched: masked-out lanes are neither read nor
-/// written, and active lanes run the exact same ops.
-template <int RN>
-void conv_tile_tail_avx512(const ConvLayerPlan& plan,
-                           const std::int64_t* multiples, std::int64_t* out,
-                           int oy0, int ox, __mmask8 mask) {
-  const std::size_t stride = plan.plane_stride();
-  const std::size_t positions = plan.positions();
-  const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
-  for (int r = 0; r < plan.oc; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    __m512i acc[RN];
-    const __m512i bias =
-        _mm512_set1_epi64(plan.biases[static_cast<std::size_t>(r)]);
-    for (int ty = 0; ty < RN; ++ty) acc[ty] = bias;
-    for (int c = 0; c < plan.cols_padded; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      __m512i product[RN];
-      for (int ty = 0; ty < RN; ++ty) product[ty] = _mm512_setzero_si512();
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const std::uint32_t cell_idx = idx[pc];
-        if (cell_idx == plan.zero_base) break;  // steps are packed
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
-        const std::int64_t* src = multiples + cell_idx + ebase0;
-        for (int ty = 0; ty < RN; ++ty) {
-          const __m512i m = _mm512_maskz_loadu_epi64(
-              mask, src + static_cast<std::size_t>(ty) * plan.iw);
-          product[ty] =
-              _mm512_add_epi64(product[ty], _mm512_sll_epi64(m, sh));
-        }
-      }
-      const __m512i sign = _mm512_set1_epi64(signs[cell]);
-      for (int ty = 0; ty < RN; ++ty) {
-        acc[ty] = _mm512_add_epi64(
-            acc[ty],
-            _mm512_sub_epi64(_mm512_xor_si512(product[ty], sign), sign));
-      }
-    }
-    for (int ty = 0; ty < RN; ++ty) {
-      _mm512_mask_storeu_epi64(
-          out + static_cast<std::size_t>(r) * positions +
-              static_cast<std::size_t>(oy0 + ty) * plan.ow + ox,
-          mask, acc[ty]);
-    }
-  }
-}
-
-/// Runtime row count → compile-time RN dispatch for one column width.
-template <int CN>
+/// Runtime row count → compile-time RN dispatch for one tile kind.
+template <int CN, bool kTail>
 void conv_tile_rows_avx512(const ConvLayerPlan& plan,
-                           const std::int64_t* multiples, std::int64_t* out,
-                           int oy0, int ox, int rn) {
-  static_assert(kMaxConvRowTile == 8, "extend the dispatch switch");
-  switch (rn) {
-    case 8: conv_tile_avx512<8, CN>(plan, multiples, out, oy0, ox); break;
-    case 7: conv_tile_avx512<7, CN>(plan, multiples, out, oy0, ox); break;
-    case 6: conv_tile_avx512<6, CN>(plan, multiples, out, oy0, ox); break;
-    case 5: conv_tile_avx512<5, CN>(plan, multiples, out, oy0, ox); break;
-    case 4: conv_tile_avx512<4, CN>(plan, multiples, out, oy0, ox); break;
-    case 3: conv_tile_avx512<3, CN>(plan, multiples, out, oy0, ox); break;
-    case 2: conv_tile_avx512<2, CN>(plan, multiples, out, oy0, ox); break;
-    default: conv_tile_avx512<1, CN>(plan, multiples, out, oy0, ox); break;
-  }
-}
-
-/// The same dispatch for the masked tail tile.
-void conv_tile_tail_rows_avx512(const ConvLayerPlan& plan,
-                                const std::int64_t* multiples,
-                                std::int64_t* out, int oy0, int ox, int rn,
-                                __mmask8 mask) {
-  static_assert(kMaxConvRowTile == 8, "extend the dispatch switch");
-  switch (rn) {
-    case 8:
-      conv_tile_tail_avx512<8>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 7:
-      conv_tile_tail_avx512<7>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 6:
-      conv_tile_tail_avx512<6>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 5:
-      conv_tile_tail_avx512<5>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 4:
-      conv_tile_tail_avx512<4>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 3:
-      conv_tile_tail_avx512<3>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 2:
-      conv_tile_tail_avx512<2>(plan, multiples, out, oy0, ox, mask);
-      break;
-    default:
-      conv_tile_tail_avx512<1>(plan, multiples, out, oy0, ox, mask);
-  }
+                           const std::int32_t* multiples, std::int64_t* out,
+                           int oy0, int ox, int rn, int live) {
+  using Tile = void (*)(const ConvLayerPlan&, const std::int32_t*,
+                        std::int64_t*, int, int, int);
+  static constexpr Tile kTiles[] = {
+      &conv_tile_avx512<1, CN, kTail>, &conv_tile_avx512<2, CN, kTail>,
+      &conv_tile_avx512<3, CN, kTail>, &conv_tile_avx512<4, CN, kTail>,
+      &conv_tile_avx512<5, CN, kTail>, &conv_tile_avx512<6, CN, kTail>,
+      &conv_tile_avx512<7, CN, kTail>, &conv_tile_avx512<8, CN, kTail>};
+  static_assert(std::size(kTiles) == kMaxConvRowTile, "extend the table");
+  kTiles[std::clamp(rn, 1, kMaxConvRowTile) - 1](plan, multiples, out, oy0, ox,
+                                                 live);
 }
 
 // Weight-stationary variant at zmm width — see conv_ws_avx2 for the
 // shape and the per-term sign-distribution bit-exactness argument.
-void conv_ws_avx512(const ConvLayerPlan& plan, const std::int64_t* multiples,
+void conv_ws_avx512(const ConvLayerPlan& plan, const std::int32_t* multiples,
                     std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
+  const std::int32_t* shifts = plan.shifts.data();
+  const std::int32_t* signs = plan.sign_masks.data();
+  thread_local std::vector<std::int32_t> sums;
+  sums.resize(positions);
   for (int r = 0; r < plan.oc; ++r) {
-    std::int64_t* dst = out + static_cast<std::size_t>(r) * positions;
-    const std::int64_t bias = plan.biases[static_cast<std::size_t>(r)];
-    const __m512i vbias = _mm512_set1_epi64(bias);
-    std::size_t p = 0;
-    for (; p + kZmmLanes <= positions; p += kZmmLanes) {
-      _mm512_storeu_si512(dst + p, vbias);
-    }
-    for (; p < positions; ++p) dst[p] = bias;
+    std::fill(sums.begin(), sums.end(),
+              static_cast<std::int32_t>(
+                  plan.biases[static_cast<std::size_t>(r)]));
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
     for (int c = 0; c < plan.cols_padded; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
       if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      const std::int64_t sign = signs[cell];
-      const __m512i vsign = _mm512_set1_epi64(sign);
+      const __m512i sign = _mm512_set1_epi32(signs[cell]);
       for (int q = 0; q < plan.planes; ++q) {
         const std::size_t pc = q * stride + cell;
         const std::uint32_t cell_idx = idx[pc];
         if (cell_idx == plan.zero_base) break;  // steps are packed
-        const std::int64_t shift = shifts[pc];
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
+        const __m128i sh = _mm_cvtsi32_si128(shifts[pc]);
         for (int oy = 0; oy < plan.oh; ++oy) {
-          const std::int64_t* src =
+          const std::int32_t* src =
               multiples + cell_idx + static_cast<std::size_t>(oy) * plan.iw;
-          std::int64_t* drow = dst + static_cast<std::size_t>(oy) * plan.ow;
-          int ox = 0;
-          for (; ox + kZmmLanes <= plan.ow; ox += kZmmLanes) {
-            const __m512i m = _mm512_loadu_si512(src + ox);
-            __m512i t = _mm512_sll_epi64(m, sh);
-            t = _mm512_sub_epi64(_mm512_xor_si512(t, vsign), vsign);
-            const __m512i d = _mm512_loadu_si512(drow + ox);
-            _mm512_storeu_si512(drow + ox, _mm512_add_epi64(d, t));
-          }
-          if (ox < plan.ow) {  // lane-masked row tail
-            const __mmask8 mask =
-                static_cast<__mmask8>((1u << (plan.ow - ox)) - 1u);
-            const __m512i m = _mm512_maskz_loadu_epi64(mask, src + ox);
-            __m512i t = _mm512_sll_epi64(m, sh);
-            t = _mm512_sub_epi64(_mm512_xor_si512(t, vsign), vsign);
-            const __m512i d = _mm512_maskz_loadu_epi64(mask, drow + ox);
-            _mm512_mask_storeu_epi64(drow + ox, mask,
-                                     _mm512_add_epi64(d, t));
+          std::int32_t* drow =
+              sums.data() + static_cast<std::size_t>(oy) * plan.ow;
+          for (int ox = 0; ox < plan.ow; ox += kZmmLanes) {
+            const __mmask16 live =
+                lane_mask(std::min(kZmmLanes, plan.ow - ox));
+            const __m512i t = apply_sign(
+                _mm512_sll_epi32(_mm512_maskz_loadu_epi32(live, src + ox), sh),
+                sign);
+            const __m512i d = _mm512_maskz_loadu_epi32(live, drow + ox);
+            _mm512_mask_storeu_epi32(drow + ox, live, _mm512_add_epi32(d, t));
           }
         }
       }
+    }
+    std::int64_t* dst = out + static_cast<std::size_t>(r) * positions;
+    for (std::size_t p = 0; p < positions; p += kZmmLanes) {
+      const __mmask16 live = lane_mask(
+          static_cast<int>(std::min<std::size_t>(kZmmLanes, positions - p)));
+      store_widened<false>(dst + p,
+                           _mm512_maskz_loadu_epi32(live, sums.data() + p),
+                           live);
     }
   }
 }
 
 void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
-                                   const std::int64_t* multiples,
+                                   const std::int32_t* multiples,
                                    std::int64_t* out,
                                    const ConvTileShape& shape) {
   if (shape.weight_stationary) {
@@ -441,17 +368,18 @@ void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
     int ox = 0;
     if (col_vecs >= 2) {
       for (; ox + 2 * kZmmLanes <= plan.ow; ox += 2 * kZmmLanes) {
-        conv_tile_rows_avx512<2>(plan, multiples, out, oy0, ox, rn);
+        conv_tile_rows_avx512<2, false>(plan, multiples, out, oy0, ox, rn,
+                                        kZmmLanes);
       }
     }
     for (; ox + kZmmLanes <= plan.ow; ox += kZmmLanes) {
-      conv_tile_rows_avx512<1>(plan, multiples, out, oy0, ox, rn);
+      conv_tile_rows_avx512<1, false>(plan, multiples, out, oy0, ox, rn,
+                                      kZmmLanes);
     }
-    // Row tail (ow % 8 positions): one lane-masked partial vector.
+    // Row tail (ow % 16 positions): one lane-masked partial vector.
     if (ox < plan.ow) {
-      const __mmask8 mask =
-          static_cast<__mmask8>((1u << (plan.ow - ox)) - 1u);
-      conv_tile_tail_rows_avx512(plan, multiples, out, oy0, ox, rn, mask);
+      conv_tile_rows_avx512<1, true>(plan, multiples, out, oy0, ox, rn,
+                                     plan.ow - ox);
     }
   }
 }
@@ -459,7 +387,7 @@ void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
 #endif  // MAN_HAVE_AVX512 && __AVX512F__ && __AVX512VL__
 
 /// min_batch_lanes() of the live AVX-512 path; see docs/backends.md.
-inline constexpr int kAvx512MinBatchLanes = 5;
+inline constexpr int kAvx512MinBatchLanes = 8;
 
 class Avx512Backend final : public KernelBackend {
  public:
@@ -477,7 +405,7 @@ class Avx512Backend final : public KernelBackend {
   }
   [[nodiscard]] const char* description() const noexcept override {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
-    return avx512_ ? "AVX-512F/VL 8-lane position tiles over SoA planes"
+    return avx512_ ? "AVX-512F/VL 16-lane int32 tiles over SoA planes"
                    : "portable fallback (CPU lacks AVX-512F/VL)";
 #else
     return "portable fallback (built without AVX-512)";
@@ -488,7 +416,7 @@ class Avx512Backend final : public KernelBackend {
   }
 
   void accumulate_dense(const DenseLayerPlan& plan,
-                        const std::int64_t* multiples,
+                        const std::int32_t* multiples,
                         std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
     if (avx512_) {
@@ -500,28 +428,18 @@ class Avx512Backend final : public KernelBackend {
   }
 
   void accumulate_dense_batch(const DenseLayerPlan& plan,
-                              const std::int64_t* multiples, int lanes,
+                              const std::int32_t* multiples, int lanes,
                               int col_begin, int col_end,
                               std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
-    static_assert(kMaxBatchLanes == 4 * kZmmLanes, "extend the dispatch");
+    static_assert(kMaxBatchLanes == 2 * kZmmLanes, "extend the dispatch");
     if (avx512_) {
-      switch ((lanes + kZmmLanes - 1) / kZmmLanes) {
-        case 1:
-          dense_batch_planes_avx512<1>(plan, multiples, lanes, col_begin,
-                                       col_end, out);
-          break;
-        case 2:
-          dense_batch_planes_avx512<2>(plan, multiples, lanes, col_begin,
-                                       col_end, out);
-          break;
-        case 3:
-          dense_batch_planes_avx512<3>(plan, multiples, lanes, col_begin,
-                                       col_end, out);
-          break;
-        default:
-          dense_batch_planes_avx512<4>(plan, multiples, lanes, col_begin,
-                                       col_end, out);
+      if (lanes <= kZmmLanes) {
+        dense_batch_planes_avx512<1>(plan, multiples, lanes, col_begin,
+                                     col_end, out);
+      } else {
+        dense_batch_planes_avx512<2>(plan, multiples, lanes, col_begin,
+                                     col_end, out);
       }
       return;
     }
@@ -543,7 +461,7 @@ class Avx512Backend final : public KernelBackend {
   }
 
   void accumulate_conv(const ConvLayerPlan& plan,
-                       const std::int64_t* multiples,
+                       const std::int32_t* multiples,
                        std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
     if (avx512_) {
@@ -573,7 +491,7 @@ const KernelBackend& avx512_backend() {
 }
 
 bool conv_run_shaped_avx512(const ConvLayerPlan& plan,
-                            const std::int64_t* multiples, std::int64_t* out,
+                            const std::int32_t* multiples, std::int64_t* out,
                             const ConvTileShape& shape) {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
   if (avx512_backend().accelerated()) {

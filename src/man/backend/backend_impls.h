@@ -17,11 +17,11 @@ namespace man::backend::detail {
 /// ISA's accelerated path. Return false (without touching `out`)
 /// when that path is not live in this build/on this CPU.
 [[nodiscard]] bool conv_run_shaped_avx2(const ConvLayerPlan& plan,
-                                        const std::int64_t* multiples,
+                                        const std::int32_t* multiples,
                                         std::int64_t* out,
                                         const ConvTileShape& shape);
 [[nodiscard]] bool conv_run_shaped_avx512(const ConvLayerPlan& plan,
-                                          const std::int64_t* multiples,
+                                          const std::int32_t* multiples,
                                           std::int64_t* out,
                                           const ConvTileShape& shape);
 

@@ -2,11 +2,38 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "man/backend/backend_impls.h"
 #include "man/backend/kernel_backend.h"
 
 namespace man::backend {
+
+namespace {
+
+/// `n` int64 multiples narrowed modulo 2^32 into a per-thread buffer.
+const std::int32_t* narrowed(const std::int64_t* multiples, std::size_t n) {
+  thread_local std::vector<std::int32_t> buffer;
+  buffer.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    buffer[i] = static_cast<std::int32_t>(multiples[i]);
+  }
+  return buffer.data();
+}
+
+}  // namespace
+
+void KernelBackend::accumulate_dense(const DenseLayerPlan& plan,
+                                     const std::int64_t* multiples,
+                                     std::int64_t* out) const {
+  accumulate_dense(plan, narrowed(multiples, plan.padded_multiples()), out);
+}
+
+void KernelBackend::accumulate_conv(const ConvLayerPlan& plan,
+                                    const std::int64_t* multiples,
+                                    std::int64_t* out) const {
+  accumulate_conv(plan, narrowed(multiples, plan.padded_multiples()), out);
+}
 
 const KernelBackend& backend_for(BackendKind kind) {
   switch (kind) {

@@ -22,13 +22,13 @@ class BlockedBackend final : public KernelBackend {
   [[nodiscard]] bool accelerated() const noexcept override { return false; }
 
   void accumulate_dense(const DenseLayerPlan& plan,
-                        const std::int64_t* multiples,
+                        const std::int32_t* multiples,
                         std::int64_t* out) const override {
     accumulate_planes(plan, multiples, out);
   }
 
   void accumulate_dense_batch(const DenseLayerPlan& plan,
-                              const std::int64_t* multiples, int lanes,
+                              const std::int32_t* multiples, int lanes,
                               int col_begin, int col_end,
                               std::int64_t* out) const override {
     accumulate_dense_batch_planes(plan, multiples, lanes, col_begin, col_end,
@@ -46,7 +46,7 @@ class BlockedBackend final : public KernelBackend {
   }
 
   void accumulate_conv(const ConvLayerPlan& plan,
-                       const std::int64_t* multiples,
+                       const std::int32_t* multiples,
                        std::int64_t* out) const override {
     accumulate_conv_planes(plan, multiples, out);
   }

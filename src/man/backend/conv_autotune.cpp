@@ -16,11 +16,12 @@ namespace man::backend {
 
 namespace {
 
-/// The measured grid: every row depth the kernels instantiate at one
+/// The candidate grid: every row depth the kernels instantiate at one
 /// and two vector column groups, plus the weight-stationary sweep.
 /// Shapes near the 8×2 corner spill ymm/zmm registers — they are
 /// still bit-identical, the bench simply votes them down where that
-/// hurts.
+/// hurts. tune_isa() measures only the shapes that differ on the
+/// plan's geometry at the ISA's lane width.
 constexpr std::array<ConvTileShape, 11> kCandidates = {{
     {1, 1, false},
     {2, 1, false},
@@ -42,7 +43,11 @@ constexpr std::size_t kMinPositions = 32;
 
 using Clock = std::chrono::steady_clock;
 
-using ShapedRun = bool (*)(const ConvLayerPlan&, const std::int64_t*,
+/// int32 lanes of one ymm (AVX2) and one zmm (AVX-512) column group.
+constexpr int kAvx2Lanes = 8;
+constexpr int kAvx512Lanes = 16;
+
+using ShapedRun = bool (*)(const ConvLayerPlan&, const std::int32_t*,
                            std::int64_t*, const ConvTileShape&);
 
 [[nodiscard]] bool valid_shape(const ConvTileShape& shape) {
@@ -53,7 +58,7 @@ using ShapedRun = bool (*)(const ConvLayerPlan&, const std::int64_t*,
 
 /// Best-of-3 average time of `iters` kernel passes, in nanoseconds.
 double measure(ShapedRun run, const ConvLayerPlan& plan,
-               const std::int64_t* multiples, std::int64_t* out,
+               const std::int32_t* multiples, std::int64_t* out,
                const ConvTileShape& shape, int iters) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
@@ -70,8 +75,20 @@ double measure(ShapedRun run, const ConvLayerPlan& plan,
   return best;
 }
 
-ConvTileShape tune_isa(ShapedRun run, const ConvLayerPlan& plan,
-                       const std::int64_t* multiples, std::int64_t* out) {
+/// The shape a kernel actually runs on this geometry: row tiles past
+/// the output height and a second column group that never fits a row
+/// of `lanes`-wide vectors collapse onto smaller shapes.
+ConvTileShape effective_shape(const ConvTileShape& shape,
+                              const ConvLayerPlan& plan, int lanes) {
+  if (shape.weight_stationary) return shape;
+  ConvTileShape effective = shape;
+  effective.row_tile = std::min(shape.row_tile, plan.oh);
+  if (plan.ow < 2 * lanes) effective.col_vecs = 1;
+  return effective;
+}
+
+ConvTileShape tune_isa(ShapedRun run, const ConvLayerPlan& plan, int lanes,
+                       const std::int32_t* multiples, std::int64_t* out) {
   // Calibrate the repetition count off one warm default-shape pass so
   // small plans average enough runs to beat timer noise while big
   // plans stay cheap (the whole sweep targets low single-digit
@@ -84,7 +101,16 @@ ConvTileShape tune_isa(ShapedRun run, const ConvLayerPlan& plan,
       std::clamp(200000.0 / std::max(probe_ns, 1000.0), 1.0, 64.0));
   ConvTileShape winner = probe;
   double winner_ns = std::numeric_limits<double>::infinity();
+  std::vector<ConvTileShape> measured;
   for (const ConvTileShape& shape : kCandidates) {
+    const ConvTileShape effective = effective_shape(shape, plan, lanes);
+    const auto same = [&](const ConvTileShape& other) {
+      return other.row_tile == effective.row_tile &&
+             other.col_vecs == effective.col_vecs &&
+             other.weight_stationary == effective.weight_stationary;
+    };
+    if (std::any_of(measured.begin(), measured.end(), same)) continue;
+    measured.push_back(effective);
     const double ns = measure(run, plan, multiples, out, shape, iters);
     if (ns < winner_ns) {
       winner_ns = ns;
@@ -144,20 +170,20 @@ void autotune_conv_plan(ConvLayerPlan& plan) {
   // Synthetic staging buffer: kernel time depends on the plan
   // geometry, not the staged values, so any small integers do. The
   // zero region stays genuinely zero, matching real staging.
-  std::vector<std::int64_t> multiples(plan.padded_multiples(), 0);
+  std::vector<std::int32_t> multiples(plan.padded_multiples(), 0);
   for (std::size_t i = 0; i < plan.zero_base; ++i) {
-    multiples[i] = static_cast<std::int64_t>(i % 251) - 125;
+    multiples[i] = static_cast<std::int32_t>(i % 251) - 125;
   }
   std::vector<std::int64_t> out(static_cast<std::size_t>(plan.oc) *
                                 plan.positions());
 
   if (avx2) {
     plan.tile_avx2 = tune_isa(&detail::conv_run_shaped_avx2, plan,
-                              multiples.data(), out.data());
+                              kAvx2Lanes, multiples.data(), out.data());
   }
   if (avx512) {
     plan.tile_avx512 = tune_isa(&detail::conv_run_shaped_avx512, plan,
-                                multiples.data(), out.data());
+                                kAvx512Lanes, multiples.data(), out.data());
   }
   plan.tiles_tuned = true;
 }

@@ -4,7 +4,10 @@
 // reference, an auto-vectorizable blocked-scalar kernel, or explicit
 // AVX2/AVX-512 SIMD kernels — all under one bit-exactness contract
 // (every backend must produce accumulators identical to the scalar
-// reference; the Fig 9 replay gate enforces this in CI).
+// reference; the Fig 9 replay gate enforces this in CI). The ASM
+// kernels read int32 staged multiples and form their sums in int32
+// lanes — exact for every plan FixedNetwork admits (layer_plan.h,
+// magnitude_bound()) — and widen their results to int64 on store.
 //
 // Selection: resolve() picks, in precedence order, a programmatic
 // override (BatchOptions::backend), the MAN_BACKEND environment
@@ -30,13 +33,13 @@ enum class BackendKind {
   kBlocked,  ///< branch-free blocked-scalar loop over the SoA planes
   kSimd,     ///< AVX2 intrinsics (portable plane loop when not compiled
              ///< with AVX2 or the CPU lacks it)
-  kAvx512,   ///< AVX-512F/VL intrinsics, 8-lane position tiles
+  kAvx512,   ///< AVX-512F/VL intrinsics, 16-lane position tiles
              ///< (portable plane loop when not compiled with AVX-512
              ///< or the CPU lacks it)
 };
 
 /// Widest tile of samples the batch-as-lanes dense kernel runs at
-/// once (accumulate_dense_batch): four zmm of int64 lanes.
+/// once (accumulate_dense_batch): two zmm of int32 lanes.
 inline constexpr int kMaxBatchLanes = 32;
 
 /// min_batch_lanes() of a backend whose batched dense kernel never
@@ -65,11 +68,19 @@ class KernelBackend {
 
   /// ASM quartet accumulation for one dense stage:
   /// out[r] = biases[r] + Σ_c sign · Σ_q multiples[idx] << shift.
-  /// `multiples` holds plan.padded_multiples() slots (cols × k bank
-  /// outputs plus the trailing zero slot, which must be 0).
+  /// The lane backends sum modulo 2^32 and sign-extend into `out`, the
+  /// scalar reference sums in int64; they agree on every plan whose
+  /// magnitude_bound() is within kInt32LaneBound. `multiples` holds
+  /// plan.padded_multiples() slots (cols × k bank outputs plus the
+  /// trailing zero slot, which must be 0).
   virtual void accumulate_dense(const DenseLayerPlan& plan,
-                                const std::int64_t* multiples,
+                                const std::int32_t* multiples,
                                 std::int64_t* out) const = 0;
+  /// The same for multiples staged as int64 (narrowed modulo 2^32
+  /// into a per-thread buffer first).
+  void accumulate_dense(const DenseLayerPlan& plan,
+                        const std::int64_t* multiples,
+                        std::int64_t* out) const;
 
   /// Batch-as-lanes ASM accumulation of columns [col_begin, col_end)
   /// of one dense stage over `lanes` samples (1..kMaxBatchLanes):
@@ -83,9 +94,12 @@ class KernelBackend {
   /// read, so the block carries no zero slot. The caller seeds `out`
   /// (rows × lanes) with the biases before the first block; summed
   /// over blocks covering [0, cols), lane b equals accumulate_dense
-  /// on that sample's multiples, bit for bit.
+  /// on that sample's multiples, bit for bit, whenever the plan's
+  /// magnitude_bound() is within kInt32LaneBound (each block's int32
+  /// partial sum is then exact; it is sign-extended and added to the
+  /// int64 `out`).
   virtual void accumulate_dense_batch(const DenseLayerPlan& plan,
-                                      const std::int64_t* multiples,
+                                      const std::int32_t* multiples,
                                       int lanes, int col_begin, int col_end,
                                       std::int64_t* out) const = 0;
 
@@ -108,10 +122,15 @@ class KernelBackend {
   /// (the position base is in element units — the lane-major layout
   /// strides by elements, not by k). `multiples` holds
   /// plan.padded_multiples() slots — k planes of ic·ih·iw bank
-  /// outputs plus the trailing zero region, which must be 0.
+  /// outputs plus the trailing zero region, which must be 0. Summed
+  /// as in accumulate_dense.
   virtual void accumulate_conv(const ConvLayerPlan& plan,
-                               const std::int64_t* multiples,
+                               const std::int32_t* multiples,
                                std::int64_t* out) const = 0;
+  /// The same for multiples staged as int64 (narrowed first).
+  void accumulate_conv(const ConvLayerPlan& plan,
+                       const std::int64_t* multiples,
+                       std::int64_t* out) const;
 
   /// Conventional exact conv stage over the degenerate single-multiple
   /// plane: out[r·P + p] = biases[r] + Σ_c weights[r][c] ·

@@ -1,5 +1,7 @@
 #include "man/backend/layer_plan.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -107,7 +109,55 @@ ConvLayerPlan conv_geometry(int oc, int ic, int kernel, int ih, int iw) {
   return plan;
 }
 
+/// Shared walk of magnitude_bound(): `rows` rows of `cols` schedules.
+template <typename Plan>
+std::uint64_t rows_magnitude_bound(const Plan& plan, int rows,
+                                   std::span<const std::uint8_t> alphabets,
+                                   std::uint64_t max_abs_input) {
+  constexpr auto kSaturated = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t worst = 0;
+  for (int r = 0; r < rows; ++r) {
+    const std::int64_t bias = plan.biases[static_cast<std::size_t>(r)];
+    // |bias| without negating INT64_MIN.
+    std::uint64_t sum = bias < 0 ? 0 - static_cast<std::uint64_t>(bias)
+                                 : static_cast<std::uint64_t>(bias);
+    bool saturated = false;
+    const std::size_t row = static_cast<std::size_t>(r) * plan.cols;
+    for (int c = 0; c < plan.cols && !saturated; ++c) {
+      const AsmWeight& w =
+          plan.asm_weights[row + static_cast<std::size_t>(c)];
+      std::uint64_t magnitude = 0;
+      for (std::uint8_t s = 0; s < w.step_count; ++s) {
+        const AsmStep& step = plan.steps[w.step_begin + s];
+        const std::uint64_t alphabet =
+            step.lane < alphabets.size() ? alphabets[step.lane] : 0;
+        saturated = saturated || step.shift > 31;
+        magnitude += alphabet << (step.shift & 31);  // < 8·255·2^31
+      }
+      std::uint64_t term = 0;
+      saturated = saturated ||
+                  __builtin_mul_overflow(magnitude, max_abs_input, &term) ||
+                  __builtin_add_overflow(sum, term, &sum);
+    }
+    if (saturated) return kSaturated;
+    worst = std::max(worst, sum);
+  }
+  return worst;
+}
+
 }  // namespace
+
+std::uint64_t magnitude_bound(const DenseLayerPlan& plan,
+                              std::span<const std::uint8_t> alphabets,
+                              std::uint64_t max_abs_input) {
+  return rows_magnitude_bound(plan, plan.rows, alphabets, max_abs_input);
+}
+
+std::uint64_t magnitude_bound(const ConvLayerPlan& plan,
+                              std::span<const std::uint8_t> alphabets,
+                              std::uint64_t max_abs_input) {
+  return rows_magnitude_bound(plan, plan.oc, alphabets, max_abs_input);
+}
 
 ConvLayerPlan ConvLayerPlan::build_exact(int oc, int ic, int kernel, int ih,
                                          int iw,

@@ -12,11 +12,21 @@
 // Weight columns are padded to a multiple of kLaneWidth so vector
 // kernels never need a scalar tail; padding entries read the zero slot
 // and carry sign mask 0, contributing nothing.
+//
+// Every ASM kernel runs on int32 lanes: staged multiples, shifts, sign
+// masks and accumulators are 32 bits wide, and the arithmetic is exact
+// modulo 2^32. magnitude_bound() is the per-plan proof that makes that
+// exact outright: when |bias| + Σ|w|·max|x| ≤ INT32_MAX for every row,
+// no sum the kernels form can leave the int32 range, so widening the
+// result to int64 yields the int64 reference value bit for bit.
+// FixedNetwork::compile_plan() rejects any plan that fails it.
 #ifndef MAN_BACKEND_LAYER_PLAN_H
 #define MAN_BACKEND_LAYER_PLAN_H
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -126,9 +136,14 @@ struct AsmWeight {
   bool negative = false;
 };
 
-/// SIMD lane width the planes are padded for (int64 lanes of one
+/// SIMD lane width the planes are padded for (int32 lanes of one
 /// 256-bit vector).
-inline constexpr int kLaneWidth = 4;
+inline constexpr int kLaneWidth = 8;
+
+/// Largest magnitude_bound() an ASM plan may have: every sum the int32
+/// kernel lanes form then stays representable.
+inline constexpr std::uint64_t kInt32LaneBound =
+    std::numeric_limits<std::int32_t>::max();
 
 /// Largest register-blocking tile the vectorized conv kernels
 /// instantiate: output rows per tile and vector-width column groups
@@ -178,26 +193,11 @@ struct DenseLayerPlan {
   /// Plane-major: entry for plane q, row r, column c lives at
   /// q * rows * cols_padded + r * cols_padded + c.
   PlanArray<std::uint32_t> idx;
-  PlanArray<std::int64_t> shifts;
+  PlanArray<std::int32_t> shifts;
   /// Per-weight sign masks, rows × cols_padded (0 or -1).
-  PlanArray<std::int64_t> sign_masks;
+  PlanArray<std::int32_t> sign_masks;
   /// Index of the always-zero multiples slot (== cols * k).
   std::uint32_t zero_slot = 0;
-
-  /// Staging window: every activation fed to this stage is known to
-  /// lie in [in_min_raw, in_max_raw] (raw units of the stage's input
-  /// format — quantized pixels, LUT outputs, and pool averages all
-  /// stay inside the activation QFormat's range). Set by
-  /// FixedNetwork::compile_plan(); the staging paths arm the
-  /// PrecomputerCache's flat direct-mapped table with it, so filling
-  /// the multiples buffer does no per-element hashing. min > max
-  /// (the default) means unknown: staging falls back to the hash
-  /// memo, bit-identically.
-  std::int64_t in_min_raw = 0;
-  std::int64_t in_max_raw = -1;
-  [[nodiscard]] bool has_input_range() const noexcept {
-    return in_min_raw <= in_max_raw;
-  }
 
   /// Slots the multiples buffer must provide: cols × k bank outputs
   /// plus the trailing zero slot.
@@ -274,17 +274,11 @@ struct ConvLayerPlan {
   /// lane-major multiples buffer (lane · ic·ih·iw + patch element);
   /// kernels add the position base oy·iw + ox.
   PlanArray<std::uint32_t> idx;
-  PlanArray<std::int64_t> shifts;
+  PlanArray<std::int32_t> shifts;
   /// Per-weight sign masks, oc × cols_padded (0 or -1).
-  PlanArray<std::int64_t> sign_masks;
+  PlanArray<std::int32_t> sign_masks;
   /// First slot of the always-zero region (== k · ic·ih·iw).
   std::uint32_t zero_base = 0;
-
-  /// Staging window, exactly as in DenseLayerPlan: the raw input
-  /// range the lane-major staging arms the flat CSHM table with.
-  /// min > max (the default) means unknown (hash fallback).
-  std::int64_t in_min_raw = 0;
-  std::int64_t in_max_raw = -1;
 
   /// Register-blocking tile shapes the vectorized kernels dispatch
   /// on, one per ISA (the portable/blocked kernels ignore them).
@@ -296,9 +290,6 @@ struct ConvLayerPlan {
   /// shape for this plan — false for exact plans, tiny geometries,
   /// and builds where no vector kernel is live.
   bool tiles_tuned = false;
-  [[nodiscard]] bool has_input_range() const noexcept {
-    return in_min_raw <= in_max_raw;
-  }
 
   /// Output positions per filter (out has oc · positions() slots,
   /// channel-major).
@@ -343,6 +334,19 @@ struct ConvLayerPlan {
       std::vector<AsmWeight> asm_weights, std::vector<AsmStep> steps,
       std::vector<std::int64_t> biases);
 };
+
+/// The int32 overflow proof of one ASM plan: the largest
+///   |bias_r| + Σ_c |w_rc| · max_abs_input
+/// over its rows (dense) or filters (conv), where |w| = Σ_steps
+/// alphabets[lane] << shift is the weight magnitude its schedule
+/// encodes. Saturates at UINT64_MAX (a shift past 31 saturates too).
+/// The plan's int32 kernels are exact when this is ≤ kInt32LaneBound.
+[[nodiscard]] std::uint64_t magnitude_bound(
+    const DenseLayerPlan& plan, std::span<const std::uint8_t> alphabets,
+    std::uint64_t max_abs_input);
+[[nodiscard]] std::uint64_t magnitude_bound(
+    const ConvLayerPlan& plan, std::span<const std::uint8_t> alphabets,
+    std::uint64_t max_abs_input);
 
 }  // namespace man::backend
 

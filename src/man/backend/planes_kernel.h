@@ -13,32 +13,51 @@
 
 namespace man::backend::detail {
 
+/// `m << shift` on the wrapping uint32 image the portable kernels
+/// compute in — the vector kernels' lane op. Counts are taken modulo
+/// 32, so a crafted plan's shift cannot make the shift undefined.
+inline std::uint32_t shl32(std::int32_t m, std::int32_t shift) {
+  return static_cast<std::uint32_t>(m) << (static_cast<std::uint32_t>(shift) &
+                                           31u);
+}
+
+/// Sign-applied contribution (product ^ sign) - sign of one weight.
+inline std::uint32_t apply_sign(std::uint32_t product, std::int32_t sign) {
+  const auto mask = static_cast<std::uint32_t>(sign);
+  return (product ^ mask) - mask;
+}
+
+/// An int32 lane sum sign-extended into the int64 output.
+inline std::int64_t widen(std::uint32_t sum) {
+  return static_cast<std::int32_t>(sum);  // modulo 2^32 (C++20)
+}
+
 /// Branch-free plane walk: for each output row, every padded column
 /// contributes (Σ_q multiples[idx] << shift) ^ sign - sign; absent
 /// quartets and padding columns hit the zero slot and sign mask 0.
 /// Fixed trip counts and contiguous streams — the loop the
 /// auto-vectorizer (and the hand-written AVX2 kernel) feed on.
 inline void accumulate_planes(const DenseLayerPlan& plan,
-                              const std::int64_t* multiples,
+                              const std::int32_t* multiples,
                               std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
+  const std::int32_t* shifts = plan.shifts.data();
+  const std::int32_t* signs = plan.sign_masks.data();
   for (int r = 0; r < plan.rows; ++r) {
     const std::size_t base = static_cast<std::size_t>(r) * plan.cols_padded;
-    std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
+    auto acc = static_cast<std::uint32_t>(
+        plan.biases[static_cast<std::size_t>(r)]);
     for (int c = 0; c < plan.cols_padded; ++c) {
       const std::size_t cell = base + static_cast<std::size_t>(c);
-      std::int64_t product = 0;
+      std::uint32_t product = 0;
       for (int q = 0; q < plan.planes; ++q) {
         const std::size_t pc = q * stride + cell;
-        product += multiples[idx[pc]] << shifts[pc];
+        product += shl32(multiples[idx[pc]], shifts[pc]);
       }
-      const std::int64_t sign = signs[cell];
-      acc += (product ^ sign) - sign;
+      acc += apply_sign(product, signs[cell]);
     }
-    out[r] = acc;
+    out[r] = widen(acc);
   }
 }
 
@@ -52,39 +71,49 @@ inline constexpr int kPortableMinBatchLanes = 4;
 /// lane — the conv plane walk's shape with samples for positions.
 /// Zero-step weights and absent quartets (steps are packed from plane
 /// 0) are skipped, contributing exactly the zero the padded walk adds.
+/// The block's int32 sums are sign-extended onto `out` at the end.
 inline void accumulate_dense_batch_planes(const DenseLayerPlan& plan,
-                                          const std::int64_t* multiples,
+                                          const std::int32_t* multiples,
                                           int lanes, int col_begin,
                                           int col_end, std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
+  const std::int32_t* shifts = plan.shifts.data();
+  const std::int32_t* signs = plan.sign_masks.data();
   const auto n = static_cast<std::size_t>(lanes);
   const std::uint32_t block_slot = static_cast<std::uint32_t>(col_begin) *
                                    static_cast<std::uint32_t>(plan.k);
-  std::int64_t product[kMaxBatchLanes];
+  std::uint32_t acc[kMaxBatchLanes];
+  std::uint32_t product[kMaxBatchLanes];
   for (int r = 0; r < plan.rows; ++r) {
-    std::int64_t* acc = out + static_cast<std::size_t>(r) * n;
+    std::int64_t* dst = out + static_cast<std::size_t>(r) * n;
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
+    for (std::size_t b = 0; b < n; ++b) acc[b] = 0;
     for (int c = col_begin; c < col_end; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
       const std::uint32_t first = idx[cell];
       if (first == plan.zero_slot) continue;  // zero-step weight
-      const std::int64_t* src0 = multiples + (first - block_slot) * n;
-      for (std::size_t b = 0; b < n; ++b) product[b] = src0[b] << shifts[cell];
+      const std::int32_t* src0 = multiples + (first - block_slot) * n;
+      for (std::size_t b = 0; b < n; ++b) {
+        product[b] = shl32(src0[b], shifts[cell]);
+      }
       for (int q = 1; q < plan.planes; ++q) {
         const std::size_t pc = q * stride + cell;
         const std::uint32_t cell_idx = idx[pc];
         if (cell_idx == plan.zero_slot) break;  // steps are packed
-        const std::int64_t* src = multiples + (cell_idx - block_slot) * n;
-        const std::int64_t sh = shifts[pc];
-        for (std::size_t b = 0; b < n; ++b) product[b] += src[b] << sh;
+        const std::int32_t* src = multiples + (cell_idx - block_slot) * n;
+        for (std::size_t b = 0; b < n; ++b) {
+          product[b] += shl32(src[b], shifts[pc]);
+        }
       }
-      const std::int64_t sign = signs[cell];
       for (std::size_t b = 0; b < n; ++b) {
-        acc[b] += (product[b] ^ sign) - sign;
+        acc[b] += apply_sign(product[b], signs[cell]);
       }
+    }
+    for (std::size_t b = 0; b < n; ++b) {
+      dst[b] = static_cast<std::int64_t>(static_cast<std::uint64_t>(dst[b]) +
+                                         static_cast<std::uint64_t>(
+                                             widen(acc[b])));
     }
   }
 }
@@ -136,16 +165,17 @@ inline constexpr int kConvTile = 64;
 /// the zero the padded walk would have added, keeping the result
 /// bit-identical to the scalar reference.
 inline void accumulate_conv_planes(const ConvLayerPlan& plan,
-                                   const std::int64_t* multiples,
+                                   const std::int32_t* multiples,
                                    std::int64_t* out) {
   const std::size_t stride = plan.plane_stride();
   const std::size_t positions = plan.positions();
   const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
+  const std::int32_t* shifts = plan.shifts.data();
+  const std::int32_t* signs = plan.sign_masks.data();
   const int cn = std::min(plan.ow, kConvTile);       // tile columns
   const int rn_max = std::max(1, kConvTile / cn);    // tile rows
-  std::int64_t tmp[kConvTile];
+  std::uint32_t tmp[kConvTile];
+  std::uint32_t prod[kConvTile];
   for (int oy0 = 0; oy0 < plan.oh; oy0 += rn_max) {
     const int rn = std::min(rn_max, plan.oh - oy0);
     for (int ox0 = 0; ox0 < plan.ow; ox0 += cn) {
@@ -154,101 +184,39 @@ inline void accumulate_conv_planes(const ConvLayerPlan& plan,
           static_cast<std::size_t>(oy0) * plan.iw + ox0;
       for (int r = 0; r < plan.oc; ++r) {
         std::int64_t* out_r = out + static_cast<std::size_t>(r) * positions;
-        const std::int64_t bias = plan.biases[static_cast<std::size_t>(r)];
-        for (int t = 0; t < rn * tc; ++t) tmp[t] = 0;
+        const auto bias = static_cast<std::uint32_t>(
+            plan.biases[static_cast<std::size_t>(r)]);
+        for (int t = 0; t < rn * tc; ++t) tmp[t] = bias;
         const std::size_t row =
             static_cast<std::size_t>(r) * plan.cols_padded;
         for (int c = 0; c < plan.cols_padded; ++c) {
           const std::size_t cell = row + static_cast<std::size_t>(c);
-          const std::uint32_t first_idx = idx[cell];
-          if (first_idx == plan.zero_base) continue;  // zero-step weight
-          const std::int64_t sign = signs[cell];
-          if (sign == 0) {
-            // Positive weight: accumulate the shifted multiples
-            // straight into the tile.
-            for (int q = 0; q < plan.planes; ++q) {
-              const std::size_t pc = q * stride + cell;
-              const std::uint32_t cell_idx = idx[pc];
-              if (cell_idx == plan.zero_base) break;  // steps are packed
-              const std::int64_t sh = shifts[pc];
-              for (int ty = 0; ty < rn; ++ty) {
-                const std::int64_t* src = multiples + cell_idx + ebase0 +
-                                          static_cast<std::size_t>(ty) *
-                                              plan.iw;
-                std::int64_t* dst = tmp + ty * tc;
-                for (int t = 0; t < tc; ++t) dst[t] += src[t] << sh;
-              }
+          if (idx[cell] == plan.zero_base) continue;  // zero-step weight
+          for (int t = 0; t < rn * tc; ++t) prod[t] = 0;
+          for (int q = 0; q < plan.planes; ++q) {
+            const std::size_t pc = q * stride + cell;
+            const std::uint32_t cell_idx = idx[pc];
+            if (cell_idx == plan.zero_base) break;  // steps are packed
+            const std::int32_t sh = shifts[pc];
+            for (int ty = 0; ty < rn; ++ty) {
+              const std::int32_t* src = multiples + cell_idx + ebase0 +
+                                        static_cast<std::size_t>(ty) *
+                                            plan.iw;
+              std::uint32_t* dst = prod + ty * tc;
+              for (int t = 0; t < tc; ++t) dst[t] += shl32(src[t], sh);
             }
-          } else {
-            // Negative weight: form the per-position product first,
-            // then subtract — two's complement makes
-            // (product ^ -1) - (-1) == -product exactly.
-            std::int64_t prod[kConvTile];
-            for (int t = 0; t < rn * tc; ++t) prod[t] = 0;
-            for (int q = 0; q < plan.planes; ++q) {
-              const std::size_t pc = q * stride + cell;
-              const std::uint32_t cell_idx = idx[pc];
-              if (cell_idx == plan.zero_base) break;  // steps are packed
-              const std::int64_t sh = shifts[pc];
-              for (int ty = 0; ty < rn; ++ty) {
-                const std::int64_t* src = multiples + cell_idx + ebase0 +
-                                          static_cast<std::size_t>(ty) *
-                                              plan.iw;
-                std::int64_t* dst = prod + ty * tc;
-                for (int t = 0; t < tc; ++t) dst[t] += src[t] << sh;
-              }
-            }
-            for (int t = 0; t < rn * tc; ++t) tmp[t] -= prod[t];
           }
+          const std::int32_t sign = signs[cell];
+          for (int t = 0; t < rn * tc; ++t) tmp[t] += apply_sign(prod[t], sign);
         }
         for (int ty = 0; ty < rn; ++ty) {
           std::int64_t* out_row = out_r +
                                   static_cast<std::size_t>(oy0 + ty) *
                                       plan.ow +
                                   ox0;
-          const std::int64_t* src = tmp + ty * tc;
-          for (int t = 0; t < tc; ++t) out_row[t] = bias + src[t];
+          const std::uint32_t* src = tmp + ty * tc;
+          for (int t = 0; t < tc; ++t) out_row[t] = widen(src[t]);
         }
-      }
-    }
-  }
-}
-
-/// Scalar tail of the vectorized conv kernels: output positions
-/// [ox0, ow) of rows [oy0, oy0 + rn), every filter, via the exact
-/// per-position reference walk. Shared by the AVX2 and AVX-512 TUs so
-/// every row tail is one (bit-identical) code path.
-inline void conv_positions_scalar(const ConvLayerPlan& plan,
-                                  const std::int64_t* multiples,
-                                  std::int64_t* out, int oy0, int rn,
-                                  int ox0) {
-  const std::size_t stride = plan.plane_stride();
-  const std::size_t positions = plan.positions();
-  const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int ox = ox0; ox < plan.ow; ++ox) {
-    for (int ty = 0; ty < rn; ++ty) {
-      const std::size_t base = static_cast<std::size_t>(oy0 + ty) * plan.iw +
-                               static_cast<std::size_t>(ox);
-      const std::size_t p = static_cast<std::size_t>(oy0 + ty) * plan.ow +
-                            static_cast<std::size_t>(ox);
-      for (int r = 0; r < plan.oc; ++r) {
-        const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-        std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
-        for (int c = 0; c < plan.cols_padded; ++c) {
-          const std::size_t cell = row + static_cast<std::size_t>(c);
-          std::int64_t product = 0;
-          for (int q = 0; q < plan.planes; ++q) {
-            const std::size_t pc = q * stride + cell;
-            const std::uint32_t cell_idx = idx[pc];
-            if (cell_idx == plan.zero_base) break;  // steps are packed
-            product += multiples[cell_idx + base] << shifts[pc];
-          }
-          const std::int64_t sign = signs[cell];
-          acc += (product ^ sign) - sign;
-        }
-        out[static_cast<std::size_t>(r) * positions + p] = acc;
       }
     }
   }

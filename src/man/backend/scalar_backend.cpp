@@ -1,11 +1,26 @@
 // The sequential reference: FixedNetwork's original dense inner loops,
-// extracted verbatim onto the DenseLayerPlan's AoS schedule. Every
-// other backend is defined as "bit-identical to this".
+// extracted verbatim onto the DenseLayerPlan's AoS schedule, in int64.
+// Every other backend is defined as "bit-identical to this". The walk
+// widens the int32 staged multiples it reads and keeps its sums on
+// the wrapping uint64 image of int64 — the same values whenever int64
+// holds them, and defined behaviour for any plan an artifact carries.
 #include "man/backend/backend_impls.h"
 
 namespace man::backend::detail {
 
 namespace {
+
+/// Multiple `m` shifted into place, as the uint64 image of the int64
+/// shift (counts past 63 wrap instead of being undefined).
+std::uint64_t shifted(std::int32_t m, std::uint8_t shift) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(m))
+         << (shift & 63u);
+}
+
+/// Signed contribution of one weight's product.
+std::uint64_t signed_product(std::uint64_t product, bool negative) {
+  return negative ? 0 - product : product;
+}
 
 class ScalarBackend final : public KernelBackend {
  public:
@@ -21,29 +36,30 @@ class ScalarBackend final : public KernelBackend {
   [[nodiscard]] bool accelerated() const noexcept override { return false; }
 
   void accumulate_dense(const DenseLayerPlan& plan,
-                        const std::int64_t* multiples,
+                        const std::int32_t* multiples,
                         std::int64_t* out) const override {
     for (int o = 0; o < plan.rows; ++o) {
-      std::int64_t acc = plan.biases[static_cast<std::size_t>(o)];
+      auto acc = static_cast<std::uint64_t>(
+          plan.biases[static_cast<std::size_t>(o)]);
       const std::size_t row = static_cast<std::size_t>(o) * plan.cols;
       for (int i = 0; i < plan.cols; ++i) {
         const AsmWeight& w = plan.asm_weights[row + i];
         if (w.step_count == 0) continue;
-        const std::int64_t* m =
+        const std::int32_t* m =
             &multiples[static_cast<std::size_t>(i) * plan.k];
-        std::int64_t product = 0;
+        std::uint64_t product = 0;
         for (std::uint8_t s = 0; s < w.step_count; ++s) {
           const AsmStep& step = plan.steps[w.step_begin + s];
-          product += m[step.lane] << step.shift;
+          product += shifted(m[step.lane], step.shift);
         }
-        acc += w.negative ? -product : product;
+        acc += signed_product(product, w.negative);
       }
-      out[o] = acc;
+      out[o] = static_cast<std::int64_t>(acc);
     }
   }
 
   void accumulate_dense_batch(const DenseLayerPlan& plan,
-                              const std::int64_t* multiples, int lanes,
+                              const std::int32_t* multiples, int lanes,
                               int col_begin, int col_end,
                               std::int64_t* out) const override {
     // accumulate_dense's AoS walk, once per lane of the slot-major
@@ -55,16 +71,17 @@ class ScalarBackend final : public KernelBackend {
       for (int i = col_begin; i < col_end; ++i) {
         const AsmWeight& w = plan.asm_weights[row + i];
         if (w.step_count == 0) continue;
-        const std::int64_t* m =
+        const std::int32_t* m =
             &multiples[static_cast<std::size_t>(i - col_begin) * plan.k * n];
         for (std::size_t b = 0; b < n; ++b) {
-          std::int64_t product = 0;
+          std::uint64_t product = 0;
           for (std::uint8_t s = 0; s < w.step_count; ++s) {
             const AsmStep& step = plan.steps[w.step_begin + s];
-            product += m[step.lane * n + b] << step.shift;
+            product += shifted(m[step.lane * n + b], step.shift);
           }
-          out[static_cast<std::size_t>(o) * n + b] +=
-              w.negative ? -product : product;
+          std::int64_t& acc = out[static_cast<std::size_t>(o) * n + b];
+          acc = static_cast<std::int64_t>(static_cast<std::uint64_t>(acc) +
+                                          signed_product(product, w.negative));
         }
       }
     }
@@ -90,7 +107,7 @@ class ScalarBackend final : public KernelBackend {
   }
 
   void accumulate_conv(const ConvLayerPlan& plan,
-                       const std::int64_t* multiples,
+                       const std::int32_t* multiples,
                        std::int64_t* out) const override {
     // The original 6-deep ConvStage reference loop, re-expressed over
     // the plan's patch columns: column c of filter r at position
@@ -105,22 +122,24 @@ class ScalarBackend final : public KernelBackend {
         for (int ox = 0; ox < plan.ow; ++ox) {
           const std::size_t elem_base =
               static_cast<std::size_t>(oy) * plan.iw + ox;
-          std::int64_t acc = plan.biases[static_cast<std::size_t>(r)];
+          auto acc = static_cast<std::uint64_t>(
+              plan.biases[static_cast<std::size_t>(r)]);
           for (int c = 0; c < plan.cols; ++c) {
             const AsmWeight& w = plan.asm_weights[row + c];
             if (w.step_count == 0) continue;
-            const std::int64_t* m =
+            const std::int32_t* m =
                 &multiples[plan.patch_elems[static_cast<std::size_t>(c)] +
                            elem_base];
-            std::int64_t product = 0;
+            std::uint64_t product = 0;
             for (std::uint8_t s = 0; s < w.step_count; ++s) {
               const AsmStep& step = plan.steps[w.step_begin + s];
-              product += m[step.lane * elems] << step.shift;
+              product += shifted(m[step.lane * elems], step.shift);
             }
-            acc += w.negative ? -product : product;
+            acc += signed_product(product, w.negative);
           }
           out[static_cast<std::size_t>(r) * positions +
-              static_cast<std::size_t>(oy) * plan.ow + ox] = acc;
+              static_cast<std::size_t>(oy) * plan.ow + ox] =
+              static_cast<std::int64_t>(acc);
         }
       }
     }

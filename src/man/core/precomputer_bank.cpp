@@ -182,27 +182,28 @@ void PrecomputerCache::configure_range(std::int64_t min_raw,
   flat_entries_ = 0;
 }
 
-const std::int64_t* PrecomputerCache::lookup_fallback(std::int64_t input,
-                                                      OpCounts& counts) {
+void PrecomputerCache::fill_row(std::int64_t input, std::int32_t* row,
+                                OpCounts& counts) {
+  // A set holds distinct alphabets in [1, kMaxAlphabetValue].
+  std::int64_t wide[AlphabetSet::kMaxAlphabetValue];
+  bank_->compute_into(input, wide, counts);
+  for (std::size_t l = 0; l < flat_k_; ++l) {
+    row[l] = static_cast<std::int32_t>(wide[l]);  // modulo 2^32
+  }
+}
+
+void PrecomputerCache::throw_out_of_window(std::int64_t input) const {
   if (bank_ == nullptr) {
     throw std::logic_error("PrecomputerCache: lookup on unbound cache");
   }
-  if (const auto it = index_.find(input); it != index_.end()) {
-    ++hits_;
-    return pool_.data() + it->second;
+  if (flat_span_ == 0) {
+    throw std::out_of_range("PrecomputerCache: lookup of " +
+                            std::to_string(input) + " with no window armed");
   }
-  ++misses_;
-  const std::size_t k = bank_->alphabet_set().size();
-  if (index_.size() >= kMaxHashEntries) {
-    overflow_.resize(k);
-    bank_->compute_into(input, overflow_.data(), counts);
-    return overflow_.data();
-  }
-  const std::size_t offset = pool_.size();
-  pool_.resize(offset + k);
-  bank_->compute_into(input, pool_.data() + offset, counts);
-  index_.emplace(input, offset);
-  return pool_.data() + offset;
+  throw std::out_of_range("PrecomputerCache: input " + std::to_string(input) +
+                          " outside the window [" +
+                          std::to_string(range_min()) + ", " +
+                          std::to_string(range_max()) + "]");
 }
 
 }  // namespace man::core

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "man/core/alphabet_set.h"
@@ -97,17 +96,16 @@ class PrecomputerBank {
 /// miss-only accounting here serves emulation-level studies (and the
 /// hit/miss counters quantify the memoization itself).
 ///
-/// Two staging regimes back the memo:
-///  * a **flat direct-mapped table** over a configured raw input
-///    window [min_raw, max_raw] — the faithful CSHM model: a bounded
-///    quantized activation range maps 1:1 onto latch rows, so a
-///    lookup is a subtract, a bounds check, and an indexed load (no
-///    hashing). configure_range() arms it; the engine derives the
-///    window from the stage's activation QFormat.
-///  * the original **hash map**, demoted to a fallback for inputs
-///    outside the window (or when no window is configured), capped at
-///    kMaxHashEntries after which multiples are recomputed into a
-///    scratch row per lookup.
+/// The memo is a **flat direct-mapped table** over a configured raw
+/// input window [min_raw, max_raw] — the faithful CSHM model: a
+/// bounded quantized activation range maps 1:1 onto latch rows, so a
+/// lookup is a subtract, a bounds check, and an indexed load (no
+/// hashing). configure_range() arms it; the engine derives the window
+/// from its activation QFormat and rejects formats wider than
+/// kMaxFlatSpan at construction. Rows hold the multiples as int32 —
+/// the width the kernel lanes read — i.e. modulo 2^32, which is exact
+/// for every window whose multiples fit (any window around zero that
+/// kMaxFlatSpan admits). Looking up a value outside the window throws.
 class PrecomputerCache {
  public:
   PrecomputerCache() = default;
@@ -118,16 +116,17 @@ class PrecomputerCache {
   /// bank must outlive the cache.
   void bind(const PrecomputerBank& bank) {
     bank_ = &bank;
-    drop_range();
+    flat_.clear();
+    flat_filled_.clear();
+    flat_min_ = 0;
+    flat_span_ = 0;
     reset();
   }
 
-  /// Drops every memoized entry and the hit/miss counters. A
-  /// configured flat window stays configured (its rows are marked
-  /// unfilled, the allocation is reused).
+  /// Drops every memoized row and the hit/miss counters. A configured
+  /// window stays configured (its rows are marked unfilled, the
+  /// allocation is reused).
   void reset() noexcept {
-    index_.clear();
-    pool_.clear();
     std::fill(flat_filled_.begin(), flat_filled_.end(), std::uint8_t{0});
     flat_entries_ = 0;
     hits_ = 0;
@@ -135,35 +134,12 @@ class PrecomputerCache {
   }
 
   /// Arms the direct-mapped table for inputs in [min_raw, max_raw]
-  /// (inclusive). Existing flat rows are dropped; the hash memo is
-  /// untouched. Throws std::logic_error on an unbound cache and
-  /// std::invalid_argument when min_raw > max_raw or the window spans
-  /// more than kMaxFlatSpan values (the table is meant for bounded
-  /// quantized activation ranges, not arbitrary 64-bit streams).
+  /// (inclusive), dropping existing rows. Throws std::logic_error on
+  /// an unbound cache and std::invalid_argument when min_raw > max_raw
+  /// or the window spans more than kMaxFlatSpan values (the table is
+  /// meant for bounded quantized activation ranges, not arbitrary
+  /// 64-bit streams).
   void configure_range(std::int64_t min_raw, std::int64_t max_raw);
-
-  /// configure_range(), but a no-op when the same window is already
-  /// armed — the staging paths call this per batch.
-  void ensure_range(std::int64_t min_raw, std::int64_t max_raw) {
-    // Wrap-safe span, as in configure_range (min > max falls through
-    // to its validation).
-    const std::uint64_t span = static_cast<std::uint64_t>(max_raw) -
-                               static_cast<std::uint64_t>(min_raw) + 1;
-    if (flat_span_ != 0 && flat_min_ == min_raw && flat_span_ == span &&
-        min_raw <= max_raw) {
-      return;
-    }
-    configure_range(min_raw, max_raw);
-  }
-
-  /// Drops the flat window (lookups fall back to the hash memo).
-  void drop_range() noexcept {
-    flat_.clear();
-    flat_filled_.clear();
-    flat_min_ = 0;
-    flat_span_ = 0;
-    flat_entries_ = 0;
-  }
 
   [[nodiscard]] bool has_range() const noexcept { return flat_span_ != 0; }
   [[nodiscard]] std::int64_t range_min() const noexcept { return flat_min_; }
@@ -172,71 +148,52 @@ class PrecomputerCache {
   }
 
   /// Pointer to bank().alphabet_set().size() multiples of `input`;
-  /// valid until the next lookup()/reset()/bind()/configure_range().
-  /// In-window inputs are a direct table index; everything else takes
-  /// the hash fallback.
-  [[nodiscard]] const std::int64_t* lookup(std::int64_t input,
+  /// valid until the next reset()/bind()/configure_range(). Throws
+  /// std::out_of_range when `input` lies outside the armed window (or
+  /// no window is armed).
+  [[nodiscard]] const std::int32_t* lookup(std::int64_t input,
                                            OpCounts& counts) {
     // Subtraction in uint64 is wrap-safe for any input; a wrapped
-    // offset fails the span check and falls through.
+    // offset fails the span check.
     const std::uint64_t offset = static_cast<std::uint64_t>(input) -
                                  static_cast<std::uint64_t>(flat_min_);
-    if (offset < flat_span_) {
-      std::int64_t* row = flat_.data() + offset * flat_k_;
-      if (flat_filled_[offset] != 0) {
-        ++hits_;
-        return row;
-      }
-      ++misses_;
-      // Marked filled only after the bank succeeds, so a throwing
-      // bank cannot poison the row with zeros (matches the hash
-      // path's memoize-after-compute ordering).
-      bank_->compute_into(input, row, counts);
-      flat_filled_[offset] = 1;
-      ++flat_entries_;
+    if (offset >= flat_span_) throw_out_of_window(input);
+    std::int32_t* row = flat_.data() + offset * flat_k_;
+    if (flat_filled_[offset] != 0) {
+      ++hits_;
       return row;
     }
-    return lookup_fallback(input, counts);
+    ++misses_;
+    // Marked filled only after the bank succeeds, so a throwing bank
+    // cannot poison the row with zeros.
+    fill_row(input, row, counts);
+    flat_filled_[offset] = 1;
+    ++flat_entries_;
+    return row;
   }
 
   [[nodiscard]] const PrecomputerBank* bank() const noexcept { return bank_; }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-  /// Distinct memoized inputs across both regimes (flat + hash).
-  [[nodiscard]] std::size_t entries() const noexcept {
-    return flat_entries_ + index_.size();
-  }
-  /// Hash-fallback entries only (flat rows excluded).
-  [[nodiscard]] std::size_t hash_entries() const noexcept {
-    return index_.size();
-  }
+  /// Distinct memoized inputs.
+  [[nodiscard]] std::size_t entries() const noexcept { return flat_entries_; }
 
-  /// Hash-memo cap: quantized activations span a few thousand
-  /// distinct values at most, so this is never hit in practice; it
-  /// bounds memory if someone streams arbitrary 64-bit inputs
-  /// through. Past the cap, lookups recompute into a scratch row.
-  static constexpr std::size_t kMaxHashEntries = std::size_t{1} << 16;
-  /// Widest flat window configure_range() accepts (64 MiB of rows at
+  /// Widest flat window configure_range() accepts (32 MiB of rows at
   /// k = 8) — far above any quantized activation format's span.
   static constexpr std::uint64_t kMaxFlatSpan = std::uint64_t{1} << 20;
 
  private:
-  /// Out-of-line slow path: hash memo, capped, overflow scratch.
-  [[nodiscard]] const std::int64_t* lookup_fallback(std::int64_t input,
-                                                    OpCounts& counts);
+  /// Out-of-line miss path: the bank's int64 multiples, narrowed.
+  void fill_row(std::int64_t input, std::int32_t* row, OpCounts& counts);
+  [[noreturn]] void throw_out_of_window(std::int64_t input) const;
 
   const PrecomputerBank* bank_ = nullptr;
-  // Flat direct-mapped window (armed by configure_range):
-  std::vector<std::int64_t> flat_;         ///< span × k multiples
+  std::vector<std::int32_t> flat_;         ///< span × k multiples
   std::vector<std::uint8_t> flat_filled_;  ///< per-row valid flag
   std::int64_t flat_min_ = 0;
   std::uint64_t flat_span_ = 0;  ///< 0 = window not armed
   std::size_t flat_k_ = 0;       ///< bank alphabet count, cached
   std::size_t flat_entries_ = 0;
-  // Hash fallback:
-  std::unordered_map<std::int64_t, std::size_t> index_;  ///< input -> offset
-  std::vector<std::int64_t> pool_;      ///< memoized multiples, k-strided
-  std::vector<std::int64_t> overflow_;  ///< scratch once the cap is hit
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

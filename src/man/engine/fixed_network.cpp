@@ -29,35 +29,23 @@ man::fixed::QFormat accumulator_format(const man::nn::QuantSpec& spec) {
       30, spec.weight_format.frac_bits() + spec.activation_format.frac_bits());
 }
 
-// Arms the cache's flat direct-mapped table with the plan's staging
-// window (a no-op when already armed — the usual case, since
-// make_scratch() pre-arms every cache). Plans without a range leave
-// the cache in hash-fallback mode, bit-identically.
-void arm_staging_window(man::core::PrecomputerCache& cache,
-                        std::int64_t in_min_raw, std::int64_t in_max_raw) {
-  if (in_min_raw <= in_max_raw) {
-    cache.ensure_range(in_min_raw, in_max_raw);
-  }
-}
-
 // Stages the CSHM bank outputs of every input element, k-strided
 // element-major, into `multiples` (values.size() × k slots) — the
-// dense path's staging loop. In-window values resolve through the
-// cache's flat table (subtract + indexed load, no hashing);
-// consecutive repeated values (long background runs in images,
-// saturated LUT outputs) replay the row just written without even
-// that.
+// dense path's staging loop. Values resolve through the cache's flat
+// table (subtract + indexed load, no hashing); consecutive repeated
+// values (long background runs in images, saturated LUT outputs)
+// replay the row just written without even that.
 void stage_multiples(std::span<const std::int64_t> values, std::size_t k,
                      man::core::PrecomputerCache& cache,
-                     std::int64_t* multiples) {
+                     std::int32_t* multiples) {
   OpCounts discard;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    std::int64_t* dest = multiples + i * k;
+    std::int32_t* dest = multiples + i * k;
     if (i > 0 && values[i] == values[i - 1]) {
       std::copy(dest - k, dest, dest);
       continue;
     }
-    const std::int64_t* row = cache.lookup(values[i], discard);
+    const std::int32_t* row = cache.lookup(values[i], discard);
     std::copy(row, row + k, dest);
   }
 }
@@ -70,7 +58,7 @@ void stage_multiples(std::span<const std::int64_t> values, std::size_t k,
 void stage_multiples_lane_major(std::span<const std::int64_t> values,
                                 std::size_t k,
                                 man::core::PrecomputerCache& cache,
-                                std::int64_t* multiples) {
+                                std::int32_t* multiples) {
   OpCounts discard;
   const std::size_t stride = values.size();
   for (std::size_t i = 0; i < stride; ++i) {
@@ -80,7 +68,7 @@ void stage_multiples_lane_major(std::span<const std::int64_t> values,
       }
       continue;
     }
-    const std::int64_t* row = cache.lookup(values[i], discard);
+    const std::int32_t* row = cache.lookup(values[i], discard);
     for (std::size_t l = 0; l < k; ++l) {
       multiples[l * stride + i] = row[l];
     }
@@ -97,20 +85,35 @@ template <typename Value>
 void stage_tile_block(Value&& value, std::size_t c0, std::size_t c1,
                       std::size_t lanes, std::size_t k,
                       man::core::PrecomputerCache& cache,
-                      std::int64_t* block) {
+                      std::int32_t* block) {
   OpCounts discard;
   for (std::size_t c = c0; c < c1; ++c) {
-    std::int64_t* dest = block + (c - c0) * k * lanes;
+    std::int32_t* dest = block + (c - c0) * k * lanes;
     for (std::size_t b = 0; b < lanes; ++b) {
-      const std::int64_t* row = cache.lookup(value(c, b), discard);
+      const std::int32_t* row = cache.lookup(value(c, b), discard);
       for (std::size_t l = 0; l < k; ++l) dest[l * lanes + b] = row[l];
     }
   }
 }
 
-// Staged slots per column block of a batch tile: 32 KiB of int64, so
-// the block stays in L1 while every row of the stage streams over it.
-constexpr std::size_t kTileBlockSlots = 4096;
+// Staged bytes per column block of a batch tile: the block stays in
+// L1 while every row of the stage streams over it.
+constexpr std::size_t kTileBlockBytes = 32 * 1024;
+
+// Rejects an ASM plan whose int32 kernel lanes could overflow: the
+// kernels are exact only while every row's |bias| + Σ|w|·max|x| fits.
+template <typename Plan>
+void check_int32_bound(const Plan& plan, const man::core::PrecomputerBank& bank,
+                       std::uint64_t max_abs_input, const std::string& stage) {
+  const std::uint64_t bound = man::backend::magnitude_bound(
+      plan, bank.alphabet_set().alphabets(), max_abs_input);
+  if (bound > man::backend::kInt32LaneBound) {
+    throw std::invalid_argument(
+        "FixedNetwork: stage \"" + stage + "\" has |bias| + sum |w|*max|x| = " +
+        std::to_string(bound) + ", above the int32 lane bound " +
+        std::to_string(man::backend::kInt32LaneBound));
+  }
+}
 
 // Quantizes one sample's pixels into `buffer` (activation raw units).
 void quantize_pixels(const man::fixed::QFormat& format,
@@ -154,6 +157,7 @@ FixedNetwork::FixedNetwork(man::nn::Network& network,
   if (lanes_ < 1) {
     throw std::invalid_argument("FixedNetwork: lanes must be >= 1");
   }
+  (void)staging_window();  // rejects activation formats too wide to stage
   if (plan_.size() != network.num_weight_layers()) {
     throw std::invalid_argument(
         "FixedNetwork: plan has " + std::to_string(plan_.size()) +
@@ -300,6 +304,7 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   if (lanes_ < 1) {
     throw std::invalid_argument("FixedNetwork: lanes must be >= 1");
   }
+  (void)staging_window();  // rejects activation formats too wide to stage
   const auto acc_format = accumulator_format(spec_);
   const auto restore_synapse = [](SynapseData& syn,
                                   const CompiledSynapse& cs) {
@@ -427,17 +432,16 @@ CompiledModel FixedNetwork::compiled_model() const {
 void FixedNetwork::compile_plan() {
   // Every synapse stage's inputs are quantized pixels, LUT outputs,
   // or pool averages of those — all confined to the activation
-  // format's raw range. The plans carry that window so staging can
-  // arm the flat direct-mapped CSHM table (no per-element hashing).
-  // A format too wide for the flat table (impossible for the paper
-  // specs, whose activations are 9-bit) leaves the plans without a
-  // window: staging then runs on the hash memo, bit-identically.
-  const auto window = staging_window();
-  const std::int64_t in_min = window.first;
-  const std::int64_t in_max = window.second;
+  // format's raw range, the window make_scratch() arms the flat CSHM
+  // tables with. Its max|x| is the input magnitude of each ASM plan's
+  // int32 overflow proof.
+  const auto [in_min, in_max] = staging_window();
+  const auto max_abs_input = static_cast<std::uint64_t>(
+      std::max(in_max, -in_min));
 
   // The synapse runtime paths read only the plans from here on, so the
   // schedules move instead of copy — no weight is resident twice.
+  std::size_t synapse_index = 0;
   for (Stage& stage : stages_) {
     if (auto* dense = std::get_if<DenseStage>(&stage)) {
       SynapseData& syn = dense->synapse;
@@ -454,9 +458,10 @@ void FixedNetwork::compile_plan() {
             static_cast<int>(syn.bank.alphabet_set().size()),
             std::move(syn.asm_weights), std::move(syn.steps),
             std::move(syn.biases_raw)));
+        check_int32_bound(plans_.back(), syn.bank, max_abs_input,
+                          stats_.layers[synapse_index].name);
       }
-      plans_.back().in_min_raw = in_min;
-      plans_.back().in_max_raw = in_max;
+      ++synapse_index;
     } else if (auto* conv = std::get_if<ConvStage>(&stage)) {
       SynapseData& syn = conv->synapse;
       conv->plan_index = static_cast<int>(conv_plans_.size());
@@ -472,9 +477,10 @@ void FixedNetwork::compile_plan() {
             static_cast<int>(syn.bank.alphabet_set().size()),
             std::move(syn.asm_weights), std::move(syn.steps),
             std::move(syn.biases_raw)));
+        check_int32_bound(conv_plans_.back(), syn.bank, max_abs_input,
+                          stats_.layers[synapse_index].name);
       }
-      conv_plans_.back().in_min_raw = in_min;
-      conv_plans_.back().in_max_raw = in_max;
+      ++synapse_index;
       // One-shot register-blocking microbench: pick the vector
       // kernels' tile shapes for this geometry (construction is
       // single-threaded; the plan is immutable afterwards).
@@ -497,23 +503,23 @@ std::pair<std::int64_t, std::int64_t> FixedNetwork::staging_window() const {
   const std::int64_t in_max = spec_.activation_format.max_raw();
   const auto span = static_cast<std::uint64_t>(in_max - in_min) + 1;
   if (span > man::core::PrecomputerCache::kMaxFlatSpan) {
-    return {0, -1};  // unknown: staging falls back to the hash memo
+    throw std::invalid_argument(
+        "FixedNetwork: activation format " +
+        spec_.activation_format.to_string() + " spans " +
+        std::to_string(span) + " raw values; the CSHM staging window holds " +
+        std::to_string(man::core::PrecomputerCache::kMaxFlatSpan));
   }
   return {in_min, in_max};
 }
 
 FixedNetwork::InferScratch FixedNetwork::make_scratch() const {
   InferScratch scratch;
-  const auto window = staging_window();
+  const auto [in_min, in_max] = staging_window();
   scratch.buffer.reserve(input_size_);
   scratch.caches.reserve(synapse_stage_indices_.size());
   for (std::size_t idx : synapse_stage_indices_) {
     scratch.caches.emplace_back(synapse_at(idx).bank);
-    // Pre-arm the flat staging window so the first sample already
-    // skips the hash path.
-    if (window.first <= window.second) {
-      scratch.caches.back().configure_range(window.first, window.second);
-    }
+    scratch.caches.back().configure_range(in_min, in_max);
   }
   return scratch;
 }
@@ -737,15 +743,12 @@ void FixedNetwork::run_stages(std::size_t end, EngineStats& stats,
       } else {
         // Pre-computer bank outputs for every input value (computed
         // once per distinct value per shard, shared across lanes —
-        // CSHM; in-window values resolve via the flat direct-mapped
-        // table the plan's range arms), staged k-strided plus the
-        // trailing zero slot the quartet planes point absent entries
-        // at.
-        std::vector<std::int64_t>& multiples = scratch.multiples;
+        // CSHM; values resolve via the flat direct-mapped table),
+        // staged k-strided plus the trailing zero slot the quartet
+        // planes point absent entries at.
+        std::vector<std::int32_t>& multiples = scratch.multiples;
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
-          arm_staging_window(scratch.caches[synapse], plan.in_min_raw,
-                             plan.in_max_raw);
           stage_multiples(buffer, static_cast<std::size_t>(plan.k),
                           scratch.caches[synapse], multiples.data());
           multiples[plan.zero_slot] = 0;
@@ -772,11 +775,9 @@ void FixedNetwork::run_stages(std::size_t end, EngineStats& stats,
         // slots), plus the zero *region* the conv planes point absent
         // quartets at (wide enough to stay zero under every
         // per-position base offset).
-        std::vector<std::int64_t>& multiples = scratch.multiples;
+        std::vector<std::int32_t>& multiples = scratch.multiples;
         timed_phase(profile, &PhaseProfile::staging_s, [&] {
           multiples.resize(plan.padded_multiples());
-          arm_staging_window(scratch.caches[synapse], plan.in_min_raw,
-                             plan.in_max_raw);
           stage_multiples_lane_major(buffer,
                                      static_cast<std::size_t>(plan.k),
                                      scratch.caches[synapse],
@@ -872,17 +873,16 @@ void FixedNetwork::forward_tile(std::span<const float> inputs,
       std::fill_n(next.begin() + static_cast<std::ptrdiff_t>(r * n), n,
                   plan.biases[r]);
     }
-    // Column blocks of about kTileBlockSlots staged slots keep the
-    // slot-major multiples L1-resident while every row streams over
-    // them; the first tail stage quantizes its pixels as it stages
-    // them, so no lane-major copy of the input is ever made.
+    // Column blocks of about kTileBlockBytes of staged multiples keep
+    // them L1-resident while every row streams over them; the first
+    // tail stage quantizes its pixels as it stages them, so no
+    // lane-major copy of the input is ever made.
     const auto k = static_cast<std::size_t>(plan.k);
-    const std::size_t block_cols =
-        std::max<std::size_t>(1, kTileBlockSlots / (k * n));
-    std::vector<std::int64_t>& block = scratch.multiples;
+    const std::size_t block_cols = std::max<std::size_t>(
+        1, kTileBlockBytes / (sizeof(std::int32_t) * k * n));
+    std::vector<std::int32_t>& block = scratch.multiples;
     block.resize(block_cols * k * n);
     man::core::PrecomputerCache& cache = scratch.caches[synapse];
-    arm_staging_window(cache, plan.in_min_raw, plan.in_max_raw);
     const bool from_pixels = si == tail_begin_ && tail_begin_ == 0;
     for (std::size_t c0 = 0; c0 < cols; c0 += block_cols) {
       const std::size_t c1 = std::min(cols, c0 + block_cols);

@@ -114,7 +114,12 @@ class FixedNetwork {
   /// exactly one scheme per synapse (dense/conv) layer. `lanes` is the
   /// CSHM sharing degree (paper: 4). Weights not representable under a
   /// layer's alphabet set are constrained to the nearest representable
-  /// value (Algorithm 1 semantics) during compilation.
+  /// value (Algorithm 1 semantics) during compilation. Throws
+  /// std::invalid_argument when the activation format spans more raw
+  /// values than the CSHM staging window holds, or when an ASM stage
+  /// fails its int32 overflow proof (|bias| + Σ|w|·max|x| above
+  /// INT32_MAX for some neuron; the message names the stage and the
+  /// bound).
   FixedNetwork(man::nn::Network& network, man::nn::QuantSpec spec,
                LayerAlphabetPlan plan, int lanes = 4);
 
@@ -126,7 +131,9 @@ class FixedNetwork {
   /// model was exported from. `storage` (may be null) is pinned for
   /// the engine's lifetime; plans with borrowed arrays point into it.
   /// Throws std::invalid_argument when plans and descriptors disagree
-  /// (count, geometry, or exact/ASM mode).
+  /// (count, geometry, or exact/ASM mode) or the activation format is
+  /// too wide to stage. The plans are trusted to have passed their
+  /// overflow proof when they were compiled; it is not re-run here.
   FixedNetwork(const CompiledModel& model,
                std::vector<man::backend::DenseLayerPlan> plans,
                std::vector<man::backend::ConvLayerPlan> conv_plans,
@@ -162,10 +169,11 @@ class FixedNetwork {
   struct InferScratch {
     std::vector<std::int64_t> buffer;  ///< current stage activations
     std::vector<std::int64_t> next;    ///< next stage activations
-    /// Bank outputs: k-strided element-major for dense stages,
-    /// lane-major (plus zero region) for conv stages, one slot-major
-    /// column block for batched dense-tail stages.
-    std::vector<std::int64_t> multiples;
+    /// Bank outputs (int32, as the kernel lanes read them):
+    /// k-strided element-major for dense stages, lane-major (plus
+    /// zero region) for conv stages, one slot-major column block for
+    /// batched dense-tail stages.
+    std::vector<std::int32_t> multiples;
     std::vector<man::core::PrecomputerCache> caches;  ///< per synapse stage
     /// Dense-tail activations of one batch tile (infer_batch_into),
     /// lane-major: value c of sample b at c·lanes + b; ping-pong.
@@ -340,8 +348,10 @@ class FixedNetwork {
   [[nodiscard]] const SynapseData& synapse_at(std::size_t stage_index) const;
 
   /// The staging window every synapse stage's inputs lie in (the
-  /// activation format's raw range), or {0, -1} when the format is
-  /// too wide for the flat table (staging then hash-falls-back).
+  /// activation format's raw range). Throws std::invalid_argument when
+  /// the format spans more than PrecomputerCache::kMaxFlatSpan values
+  /// (both constructors call it first, so such an engine never
+  /// exists).
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> staging_window() const;
 
   man::nn::QuantSpec spec_;

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "man/util/rng.h"
 
@@ -73,9 +74,9 @@ TEST(PrecomputerBank, CountsAdderActivations) {
   EXPECT_EQ(counts.precomputer_adds, 3u);
 }
 
-// --- PrecomputerCache: flat direct-mapped window + hash fallback ---
+// --- PrecomputerCache: the flat direct-mapped window ---
 
-TEST(PrecomputerCacheFlat, InWindowLookupsMatchBankWithoutHashEntries) {
+TEST(PrecomputerCacheFlat, InWindowLookupsMatchBank) {
   const PrecomputerBank bank(AlphabetSet::four());
   PrecomputerCache cache(bank);
   cache.configure_range(-255, 255);
@@ -86,7 +87,7 @@ TEST(PrecomputerCacheFlat, InWindowLookupsMatchBankWithoutHashEntries) {
   OpCounts counts;
   for (int round = 0; round < 2; ++round) {
     for (std::int64_t input = -255; input <= 255; ++input) {
-      const std::int64_t* row = cache.lookup(input, counts);
+      const std::int32_t* row = cache.lookup(input, counts);
       const auto expected = bank.compute(input);
       for (std::size_t i = 0; i < expected.size(); ++i) {
         ASSERT_EQ(row[i], expected[i]) << "input " << input;
@@ -94,7 +95,6 @@ TEST(PrecomputerCacheFlat, InWindowLookupsMatchBankWithoutHashEntries) {
     }
   }
   EXPECT_EQ(cache.entries(), 511u);
-  EXPECT_EQ(cache.hash_entries(), 0u);  // no lookup touched the hash
   EXPECT_EQ(cache.misses(), 511u);
   EXPECT_EQ(cache.hits(), 511u);
   // Structural adds charged once per distinct value.
@@ -102,25 +102,39 @@ TEST(PrecomputerCacheFlat, InWindowLookupsMatchBankWithoutHashEntries) {
             511u * static_cast<std::uint64_t>(bank.adder_count()));
 }
 
-TEST(PrecomputerCacheFlat, OutOfWindowInputsTakeTheHashFallback) {
+// Rows are int32 (the kernel lane width): the widest window the table
+// admits, centred on zero, still holds every multiple exactly.
+TEST(PrecomputerCacheFlat, WidestWindowMultiplesFitInt32) {
+  const PrecomputerBank bank(AlphabetSet::full());
+  PrecomputerCache cache(bank);
+  const auto half =
+      static_cast<std::int64_t>(PrecomputerCache::kMaxFlatSpan / 2) - 1;
+  cache.configure_range(-half, half);
+  OpCounts counts;
+  for (const std::int64_t input : {-half, half, std::int64_t{-1}}) {
+    const std::int32_t* row = cache.lookup(input, counts);
+    const auto expected = bank.compute(input);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(row[i], expected[i]) << "input " << input;
+    }
+  }
+}
+
+TEST(PrecomputerCacheFlat, OutOfWindowLookupsThrow) {
   const PrecomputerBank bank(AlphabetSet::two());
   PrecomputerCache cache(bank);
   cache.configure_range(-10, 10);
 
   OpCounts counts;
-  for (int round = 0; round < 3; ++round) {
-    for (std::int64_t input : {-500LL, 11LL, 4096LL, -11LL}) {
-      const std::int64_t* row = cache.lookup(input, counts);
-      EXPECT_EQ(row[0], input);
-      EXPECT_EQ(row[1], 3 * input);
-    }
-    const std::int64_t* in_window = cache.lookup(7, counts);
-    EXPECT_EQ(in_window[1], 21);
+  for (const std::int64_t input : {-500LL, 11LL, 4096LL, -11LL}) {
+    EXPECT_THROW((void)cache.lookup(input, counts), std::out_of_range)
+        << input;
   }
-  EXPECT_EQ(cache.hash_entries(), 4u);  // the out-of-window values
-  EXPECT_EQ(cache.entries(), 5u);       // plus the flat row for 7
-  EXPECT_EQ(cache.misses(), 5u);
-  EXPECT_EQ(cache.hits(), 10u);
+  const std::int32_t* in_window = cache.lookup(7, counts);
+  EXPECT_EQ(in_window[1], 21);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST(PrecomputerCacheFlat, ResetKeepsTheWindowAndDropsTheMemo) {
@@ -130,7 +144,7 @@ TEST(PrecomputerCacheFlat, ResetKeepsTheWindowAndDropsTheMemo) {
   OpCounts counts;
   (void)cache.lookup(5, counts);
   (void)cache.lookup(5, counts);
-  (void)cache.lookup(1000, counts);  // hash fallback
+  (void)cache.lookup(80, counts);
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);
@@ -141,7 +155,7 @@ TEST(PrecomputerCacheFlat, ResetKeepsTheWindowAndDropsTheMemo) {
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
   // Rows refill on demand after the reset.
-  const std::int64_t* row = cache.lookup(5, counts);
+  const std::int32_t* row = cache.lookup(5, counts);
   EXPECT_EQ(row[0], 5);
   EXPECT_EQ(cache.misses(), 1u);
 }
@@ -161,28 +175,25 @@ TEST(PrecomputerCacheFlat, BindDropsWindowAndCounters) {
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
-  // Unarmed lookups run on the hash path against the new bank.
-  const std::int64_t* row = cache.lookup(3, counts);
-  EXPECT_EQ(row[1], 9);
-  EXPECT_EQ(cache.hash_entries(), 1u);
+  // No window armed: nothing to look up in.
+  EXPECT_THROW((void)cache.lookup(3, counts), std::out_of_range);
 
   cache.configure_range(-5, 5);
-  const std::int64_t* flat_row = cache.lookup(3, counts);
+  const std::int32_t* flat_row = cache.lookup(3, counts);
   EXPECT_EQ(flat_row[1], 9);
-  EXPECT_EQ(cache.entries(), 2u);  // hash entry + fresh flat row
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
-TEST(PrecomputerCacheFlat, EnsureRangeIsIdempotentAndRearms) {
+TEST(PrecomputerCacheFlat, ConfigureRangeRearms) {
   const PrecomputerBank bank(AlphabetSet::four());
   PrecomputerCache cache(bank);
-  cache.ensure_range(-255, 255);
+  cache.configure_range(-255, 255);
   OpCounts counts;
   (void)cache.lookup(0, counts);
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.ensure_range(-255, 255);  // no-op: the filled row survives
   (void)cache.lookup(0, counts);
   EXPECT_EQ(cache.hits(), 1u);
-  cache.ensure_range(-127, 127);  // different window: re-armed
+  cache.configure_range(-127, 127);  // new window: rows dropped
+  EXPECT_EQ(cache.entries(), 0u);
   (void)cache.lookup(0, counts);
   EXPECT_EQ(cache.misses(), 2u);
 }
@@ -200,48 +211,16 @@ TEST(PrecomputerCacheFlat, RejectsBadWindows) {
   // Extreme inputs against an armed window must not wrap into it.
   cache.configure_range(-10, 10);
   OpCounts counts;
-  const std::int64_t big = std::numeric_limits<std::int64_t>::max() / 16;
-  const std::int64_t* row = cache.lookup(big, counts);
-  EXPECT_EQ(row[0], big);
-  EXPECT_EQ(cache.hash_entries(), 1u);
+  for (const std::int64_t big :
+       {std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max() / 16}) {
+    EXPECT_THROW((void)cache.lookup(big, counts), std::out_of_range) << big;
+  }
+  EXPECT_EQ(cache.entries(), 0u);
 }
 
-TEST(PrecomputerCacheFallback, HashCapSaturatesIntoOverflowScratch) {
-  const PrecomputerBank bank(AlphabetSet::two());
-  PrecomputerCache cache(bank);
-  cache.configure_range(0, 7);  // tiny window; the stream lands outside
-
-  OpCounts counts;
-  const auto cap =
-      static_cast<std::int64_t>(PrecomputerCache::kMaxHashEntries);
-  for (std::int64_t input = 1; input <= cap; ++input) {
-    (void)cache.lookup(-input, counts);
-  }
-  EXPECT_EQ(cache.hash_entries(), PrecomputerCache::kMaxHashEntries);
-  EXPECT_EQ(cache.misses(), PrecomputerCache::kMaxHashEntries);
-
-  // Past the cap: values are still served correctly (recomputed into
-  // the overflow scratch) but never memoized — every lookup is a miss
-  // and the entry count stays pinned at the cap.
-  for (int round = 0; round < 3; ++round) {
-    const std::int64_t* row = cache.lookup(-(cap + 1), counts);
-    EXPECT_EQ(row[0], -(cap + 1));
-    EXPECT_EQ(row[1], 3 * -(cap + 1));
-  }
-  EXPECT_EQ(cache.hash_entries(), PrecomputerCache::kMaxHashEntries);
-  EXPECT_EQ(cache.misses(), PrecomputerCache::kMaxHashEntries + 3);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // Pre-cap entries and the flat window still replay from the memo.
-  (void)cache.lookup(-1, counts);
-  EXPECT_EQ(cache.hits(), 1u);
-  (void)cache.lookup(3, counts);
-  (void)cache.lookup(3, counts);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.entries(), PrecomputerCache::kMaxHashEntries + 1);
-}
-
-TEST(PrecomputerCacheFallback, UnboundLookupThrows) {
+TEST(PrecomputerCacheFlat, UnboundLookupThrows) {
   PrecomputerCache cache;
   OpCounts counts;
   EXPECT_THROW((void)cache.lookup(1, counts), std::logic_error);

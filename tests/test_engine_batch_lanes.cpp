@@ -53,12 +53,12 @@ class ForcedBatchKernel final : public KernelBackend {
     return inner_.accelerated();
   }
   void accumulate_dense(const DenseLayerPlan& plan,
-                        const std::int64_t* multiples,
+                        const std::int32_t* multiples,
                         std::int64_t* out) const override {
     inner_.accumulate_dense(plan, multiples, out);
   }
   void accumulate_dense_batch(const DenseLayerPlan& plan,
-                              const std::int64_t* multiples, int lanes,
+                              const std::int32_t* multiples, int lanes,
                               int col_begin, int col_end,
                               std::int64_t* out) const override {
     inner_.accumulate_dense_batch(plan, multiples, lanes, col_begin, col_end,
@@ -71,7 +71,7 @@ class ForcedBatchKernel final : public KernelBackend {
     inner_.exact_dense(plan, activations, out);
   }
   void accumulate_conv(const man::backend::ConvLayerPlan& plan,
-                       const std::int64_t* multiples,
+                       const std::int32_t* multiples,
                        std::int64_t* out) const override {
     inner_.accumulate_conv(plan, multiples, out);
   }
@@ -259,7 +259,7 @@ DenseLayerPlan random_plan(std::mt19937_64& rng, int rows, int cols, int k,
                            int max_steps) {
   std::uniform_int_distribution<int> steps_of(0, max_steps);
   std::uniform_int_distribution<int> lane_of(0, k - 1);
-  std::uniform_int_distribution<int> shift_of(0, 12);
+  std::uniform_int_distribution<int> shift_of(0, 8);
   std::uniform_int_distribution<int> coin(0, 1);
   std::uniform_int_distribution<std::int64_t> bias_of(-5000, 5000);
   std::vector<AsmWeight> weights;
@@ -284,11 +284,14 @@ DenseLayerPlan random_plan(std::mt19937_64& rng, int rows, int cols, int k,
 // The kernel contract on its own: summed over column blocks, lane b of
 // accumulate_dense_batch equals accumulate_dense on sample b's
 // multiples — for every backend, every lane count 1..kMaxBatchLanes
-// (masked vector tails included) and ragged block boundaries.
+// (masked vector tails included) and ragged block boundaries. The
+// multiples span what a bank produces for 8-bit activations
+// (15 · 255), so with shifts ≤ 8, ≤ 3 steps and ≤ 64 columns every row
+// stays within the int32 lane bound (≤ 5000 + 64·3·3825·2^8).
 TEST(BatchLanesKernel, MatchesPerSampleKernelOnRandomPlans) {
   std::mt19937_64 rng(2024);
-  std::uniform_int_distribution<std::int64_t> multiple_of(-(1 << 20),
-                                                          1 << 20);
+  std::uniform_int_distribution<std::int32_t> multiple_of(-15 * 255,
+                                                          15 * 255);
   const auto& scalar =
       man::backend::backend_for(man::backend::BackendKind::kScalar);
   struct Shape {
@@ -302,7 +305,7 @@ TEST(BatchLanesKernel, MatchesPerSampleKernelOnRandomPlans) {
     for (int lanes = 1; lanes <= man::backend::kMaxBatchLanes; ++lanes) {
       const auto n = static_cast<std::size_t>(lanes);
       // Per-sample multiples (zero slot last) and the expected rows.
-      std::vector<std::vector<std::int64_t>> samples(n);
+      std::vector<std::vector<std::int32_t>> samples(n);
       std::vector<std::int64_t> expected(static_cast<std::size_t>(plan.rows) *
                                          n);
       std::vector<std::int64_t> row(static_cast<std::size_t>(plan.rows));
@@ -334,7 +337,7 @@ TEST(BatchLanesKernel, MatchesPerSampleKernelOnRandomPlans) {
         for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
           const int c0 = bounds[i];
           const int c1 = bounds[i + 1];
-          std::vector<std::int64_t> block(
+          std::vector<std::int32_t> block(
               static_cast<std::size_t>(c1 - c0) * plan.k * n);
           for (int c = c0; c < c1; ++c) {
             for (int l = 0; l < plan.k; ++l) {

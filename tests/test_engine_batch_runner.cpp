@@ -413,12 +413,13 @@ TEST(BatchRunner, PersistentShardScratchAcrossChangingBatchSizes) {
 TEST(PrecomputerCacheReuse, LookupMatchesBankAndCountsMissesOnce) {
   const PrecomputerBank bank(AlphabetSet::four());
   PrecomputerCache cache(bank);
+  cache.configure_range(-255, 255);
 
   OpCounts cached_counts;
   OpCounts direct_counts;
   for (int round = 0; round < 3; ++round) {
     for (std::int64_t input : {-7, 0, 1, 5, 123}) {
-      const std::int64_t* m = cache.lookup(input, cached_counts);
+      const std::int32_t* m = cache.lookup(input, cached_counts);
       const auto expected = bank.compute(input, direct_counts);
       for (std::size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(m[i], expected[i]) << "input " << input;

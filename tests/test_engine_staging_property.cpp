@@ -1,13 +1,15 @@
 // Randomized property test (seeded RNG) for the flat-table CSHM
 // staging: over random dense/conv geometries at 8- and 12-bit ×
-// ASM + exact schemes, a direct-mapped (flat) PrecomputerCache and a
-// hash-fallback cache must produce bit-identical multiples buffers
-// laid out exactly as the compiled plans index them — and every
-// kernel backend must produce bit-identical accumulators from either
-// buffer.
+// ASM + exact schemes, the direct-mapped (flat) PrecomputerCache's
+// int32 rows and the bank's own int64 multiples, computed afresh per
+// element, must stage the same values laid out exactly as the
+// compiled plans index them — and every kernel backend must produce
+// bit-identical accumulators from the int32 buffer and, through the
+// narrowing entry points, from the int64 one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "man/backend/kernel_backend.h"
@@ -45,15 +47,17 @@ std::vector<std::int64_t> random_raw_values(std::size_t n,
 
 // The dense staging layout: k-strided element-major plus the trailing
 // always-zero slot (what stage_multiples produces inside the engine).
-std::vector<std::int64_t> stage_dense(
-    const man::backend::DenseLayerPlan& plan,
-    std::span<const std::int64_t> values, PrecomputerCache& cache) {
-  OpCounts discard;
-  std::vector<std::int64_t> multiples(plan.padded_multiples(), -1);
+// row_of(v) points at the k multiples of value v.
+template <typename T, typename RowOf>
+std::vector<T> stage_dense(const man::backend::DenseLayerPlan& plan,
+                           std::span<const std::int64_t> values,
+                           RowOf&& row_of) {
+  std::vector<T> multiples(plan.padded_multiples(), -1);
   const auto k = static_cast<std::size_t>(plan.k);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    const std::int64_t* row = cache.lookup(values[i], discard);
-    std::copy(row, row + k, multiples.data() + i * k);
+    const auto row = row_of(values[i]);
+    std::copy(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(k),
+              multiples.data() + i * k);
   }
   multiples[plan.zero_slot] = 0;
   return multiples;
@@ -61,15 +65,15 @@ std::vector<std::int64_t> stage_dense(
 
 // The conv staging layout: lane-major planes plus the zero region
 // (what stage_multiples_lane_major + the zero fill produce).
-std::vector<std::int64_t> stage_conv(
-    const man::backend::ConvLayerPlan& plan,
-    std::span<const std::int64_t> values, PrecomputerCache& cache) {
-  OpCounts discard;
-  std::vector<std::int64_t> multiples(plan.padded_multiples(), -1);
+template <typename T, typename RowOf>
+std::vector<T> stage_conv(const man::backend::ConvLayerPlan& plan,
+                          std::span<const std::int64_t> values,
+                          RowOf&& row_of) {
+  std::vector<T> multiples(plan.padded_multiples(), -1);
   const auto k = static_cast<std::size_t>(plan.k);
   const std::size_t stride = values.size();
   for (std::size_t i = 0; i < stride; ++i) {
-    const std::int64_t* row = cache.lookup(values[i], discard);
+    const auto row = row_of(values[i]);
     for (std::size_t l = 0; l < k; ++l) {
       multiples[l * stride + i] = row[l];
     }
@@ -78,40 +82,55 @@ std::vector<std::int64_t> stage_conv(
   return multiples;
 }
 
-// Flat-vs-hash staging + per-backend accumulation for one ASM dense
+// Row providers: the flat cache's int32 row, and the bank's int64
+// multiples computed afresh.
+auto cache_rows(PrecomputerCache& cache, std::size_t k) {
+  return [&cache, k](std::int64_t v) {
+    OpCounts discard;
+    return std::span<const std::int32_t>(cache.lookup(v, discard), k);
+  };
+}
+auto bank_rows(const PrecomputerBank& bank) {
+  return [&bank](std::int64_t v) { return bank.compute(v); };
+}
+
+// Widened copy of an int32 staging buffer, for comparison.
+std::vector<std::int64_t> widened(const std::vector<std::int32_t>& v) {
+  return {v.begin(), v.end()};
+}
+
+// Flat-vs-bank staging + per-backend accumulation for one ASM dense
 // engine.
 void check_dense_engine(const FixedNetwork& engine, const QuantSpec& spec,
                         const PrecomputerBank& bank, man::util::Rng& rng) {
   ASSERT_EQ(engine.plans().size(), 1u);
   const auto& plan = engine.plans()[0];
   ASSERT_FALSE(plan.exact);
-  // The plan carries the staging window of the activation format.
-  ASSERT_TRUE(plan.has_input_range());
-  EXPECT_EQ(plan.in_min_raw, spec.activation_format.min_raw());
-  EXPECT_EQ(plan.in_max_raw, spec.activation_format.max_raw());
 
   const auto values = random_raw_values(
       static_cast<std::size_t>(plan.cols), spec, rng);
 
   PrecomputerCache flat(bank);
-  flat.configure_range(plan.in_min_raw, plan.in_max_raw);
-  PrecomputerCache hash(bank);  // no window: every lookup hashes
-
-  const auto flat_multiples = stage_dense(plan, values, flat);
-  const auto hash_multiples = stage_dense(plan, values, hash);
-  EXPECT_EQ(flat_multiples, hash_multiples);
-  EXPECT_EQ(hash.hash_entries(), hash.entries());
-  EXPECT_EQ(flat.hash_entries(), 0u);
+  flat.configure_range(spec.activation_format.min_raw(),
+                       spec.activation_format.max_raw());
+  const auto k = static_cast<std::size_t>(plan.k);
+  const auto flat_multiples =
+      stage_dense<std::int32_t>(plan, values, cache_rows(flat, k));
+  const auto bank_multiples =
+      stage_dense<std::int64_t>(plan, values, bank_rows(bank));
+  EXPECT_EQ(widened(flat_multiples), bank_multiples);
 
   std::vector<std::int64_t> reference(static_cast<std::size_t>(plan.rows));
   backend_for(BackendKind::kScalar)
-      .accumulate_dense(plan, flat_multiples.data(), reference.data());
+      .accumulate_dense(plan, bank_multiples.data(), reference.data());
   for (const auto* backend : all_backends()) {
-    for (const auto* multiples : {&flat_multiples, &hash_multiples}) {
-      std::vector<std::int64_t> out(static_cast<std::size_t>(plan.rows));
-      backend->accumulate_dense(plan, multiples->data(), out.data());
-      EXPECT_EQ(out, reference) << "backend=" << backend->name();
-    }
+    std::vector<std::int64_t> out(static_cast<std::size_t>(plan.rows));
+    backend->accumulate_dense(plan, flat_multiples.data(), out.data());
+    EXPECT_EQ(out, reference) << "backend=" << backend->name();
+    std::vector<std::int64_t> out64(static_cast<std::size_t>(plan.rows));
+    backend->accumulate_dense(plan, bank_multiples.data(), out64.data());
+    EXPECT_EQ(out64, reference) << "int64 staging, backend="
+                                << backend->name();
   }
 }
 
@@ -121,37 +140,37 @@ void check_conv_engine(const FixedNetwork& engine, const QuantSpec& spec,
   ASSERT_EQ(engine.conv_plans().size(), 1u);
   const auto& plan = engine.conv_plans()[0];
   ASSERT_FALSE(plan.exact);
-  ASSERT_TRUE(plan.has_input_range());
-  EXPECT_EQ(plan.in_min_raw, spec.activation_format.min_raw());
-  EXPECT_EQ(plan.in_max_raw, spec.activation_format.max_raw());
 
   const auto values = random_raw_values(plan.input_elems(), spec, rng);
 
   PrecomputerCache flat(bank);
-  flat.configure_range(plan.in_min_raw, plan.in_max_raw);
-  PrecomputerCache hash(bank);
-
-  const auto flat_multiples = stage_conv(plan, values, flat);
-  const auto hash_multiples = stage_conv(plan, values, hash);
-  EXPECT_EQ(flat_multiples, hash_multiples);
-  EXPECT_EQ(flat.hash_entries(), 0u);
+  flat.configure_range(spec.activation_format.min_raw(),
+                       spec.activation_format.max_raw());
+  const auto k = static_cast<std::size_t>(plan.k);
+  const auto flat_multiples =
+      stage_conv<std::int32_t>(plan, values, cache_rows(flat, k));
+  const auto bank_multiples =
+      stage_conv<std::int64_t>(plan, values, bank_rows(bank));
+  EXPECT_EQ(widened(flat_multiples), bank_multiples);
 
   const std::size_t out_size =
       static_cast<std::size_t>(plan.oc) * plan.positions();
   std::vector<std::int64_t> reference(out_size);
   backend_for(BackendKind::kScalar)
-      .accumulate_conv(plan, flat_multiples.data(), reference.data());
+      .accumulate_conv(plan, bank_multiples.data(), reference.data());
   for (const auto* backend : all_backends()) {
-    for (const auto* multiples : {&flat_multiples, &hash_multiples}) {
-      std::vector<std::int64_t> out(out_size);
-      backend->accumulate_conv(plan, multiples->data(), out.data());
-      EXPECT_EQ(out, reference) << "backend=" << backend->name();
-    }
+    std::vector<std::int64_t> out(out_size);
+    backend->accumulate_conv(plan, flat_multiples.data(), out.data());
+    EXPECT_EQ(out, reference) << "backend=" << backend->name();
+    std::vector<std::int64_t> out64(out_size);
+    backend->accumulate_conv(plan, bank_multiples.data(), out64.data());
+    EXPECT_EQ(out64, reference) << "int64 staging, backend="
+                                << backend->name();
   }
 }
 
-// Exact engines do not stage, but their plans carry the window too
-// and every backend must agree on the full forward pass.
+// Exact engines do not stage, but every backend must agree on the
+// full forward pass.
 void check_engine_backends_agree(FixedNetwork& engine,
                                  man::util::Rng& rng) {
   std::vector<float> pixels(engine.input_size());
@@ -192,7 +211,6 @@ TEST_P(StagingProperty, RandomDenseGeometries) {
 
     FixedNetwork exact_engine(net, spec, LayerAlphabetPlan::conventional(1));
     ASSERT_TRUE(exact_engine.plans()[0].exact);
-    EXPECT_TRUE(exact_engine.plans()[0].has_input_range());
     check_engine_backends_agree(exact_engine, rng);
   }
 }
@@ -220,7 +238,6 @@ TEST_P(StagingProperty, RandomConvGeometries) {
 
     FixedNetwork exact_engine(net, spec, LayerAlphabetPlan::conventional(1));
     ASSERT_TRUE(exact_engine.conv_plans()[0].exact);
-    EXPECT_TRUE(exact_engine.conv_plans()[0].has_input_range());
     check_engine_backends_agree(exact_engine, rng);
   }
 }
