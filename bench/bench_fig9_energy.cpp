@@ -14,9 +14,11 @@
 // MAN_REPLAY_CNN_SAMPLES; per-backend timings land in MAN_BENCH_JSON
 // when set.
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <span>
 
@@ -299,11 +301,17 @@ struct CurvePoint {
   double shipped_ns = 0.0;  ///< infer_batch_into as dispatched
 };
 
+/// Independent timing passes over the whole B sweep per backend; the
+/// reported crossover is their median.
+constexpr std::size_t kCurvePasses = 3;
+
 struct BackendCurve {
   std::string name;
   int min_batch_lanes = 0;
-  std::size_t measured_crossover = 0;  ///< 0: batched never wins
-  std::vector<CurvePoint> points;
+  /// Median of pass_crossovers (0: batched never wins).
+  std::size_t measured_crossover = 0;
+  std::size_t pass_crossovers[kCurvePasses] = {};
+  std::vector<CurvePoint> points;  ///< per-B medians across the passes
 };
 
 struct LanesCurve {
@@ -311,21 +319,46 @@ struct LanesCurve {
   bool identical = true;
 };
 
-/// Best-of ns/sample of `run` (which infers `samples` samples): runs
-/// until at least 3 repetitions and 5 ms have passed, so one stalled
-/// repetition cannot set the point.
-template <typename Run>
-double best_ns_per_sample(Run&& run, std::size_t samples) {
-  double best = 0.0;
+/// Best-of ns/sample of each of `runs` (each infers `samples`
+/// samples), timed alternately within every round so host drift lands
+/// on all of them alike: rounds continue until at least 3 have passed
+/// and 5 ms of wall clock, so one stalled repetition cannot set a
+/// point.
+template <std::size_t N, typename Run>
+std::array<double, N> best_ns_per_sample_interleaved(
+    const std::array<Run, N>& runs, std::size_t samples) {
+  std::array<double, N> best{};
   double total = 0.0;
   for (int rep = 0; rep < 3 || total < 5e-3; ++rep) {
-    man::util::Stopwatch watch;
-    run();
-    const double seconds = watch.seconds();
-    total += seconds;
-    if (rep == 0 || seconds < best) best = seconds;
+    for (std::size_t r = 0; r < N; ++r) {
+      man::util::Stopwatch watch;
+      runs[r]();
+      const double seconds = watch.seconds();
+      total += seconds;
+      if (rep == 0 || seconds < best[r]) best[r] = seconds;
+    }
   }
-  return best * 1e9 / static_cast<double>(samples);
+  for (double& b : best) b = b * 1e9 / static_cast<double>(samples);
+  return best;
+}
+
+/// The smallest sampled B from which the batched tail beats the
+/// gather path at every larger sampled B (0: never).
+std::size_t crossover_of(const std::vector<CurvePoint>& points) {
+  std::size_t crossover = 0;
+  for (auto it = points.rbegin(); it != points.rend(); ++it) {
+    if (it->batched_ns >= it->gather_ns) break;
+    crossover = it->batch;
+  }
+  return crossover;
+}
+
+template <typename T>
+T median_of_passes(T (&values)[kCurvePasses]) {
+  T sorted[kCurvePasses];
+  std::copy(std::begin(values), std::end(values), sorted);
+  std::sort(std::begin(sorted), std::end(sorted));
+  return sorted[kCurvePasses / 2];
 }
 
 bool same_stats(const man::engine::EngineStats& a,
@@ -345,9 +378,12 @@ bool same_stats(const man::engine::EngineStats& a,
 
 /// The batch-as-lanes curve of one engine on every backend: ns/sample
 /// through the per-sample gather path, the batched tail forced at
-/// every width, and infer_batch_into as shipped. Outputs of both
-/// batched paths and the forced path's EngineStats must match the
-/// scalar per-sample reference; any divergence clears `identical`.
+/// every width, and infer_batch_into as shipped, the three timed
+/// alternately at each B. The sweep runs kCurvePasses times; each
+/// pass yields a crossover and the curve reports their median (and
+/// per-B medians), so one noisy point cannot move it. Outputs of every
+/// run and the forced path's EngineStats must match the scalar
+/// per-sample reference; any divergence clears `identical`.
 LanesCurve run_lanes_curve(const man::engine::FixedNetwork& engine) {
   const std::size_t max_batch = kCurveBatches[std::size(kCurveBatches) - 1];
   const std::size_t in = engine.input_size();
@@ -373,69 +409,76 @@ LanesCurve run_lanes_curve(const man::engine::FixedNetwork& engine) {
   LanesCurve curve;
   for (const auto* backend : man::backend::all_backends()) {
     const ForcedBatchKernel forced(*backend);
-    BackendCurve row{backend->name(), backend->min_batch_lanes(), 0, {}};
+    BackendCurve row{backend->name(), backend->min_batch_lanes(), 0, {}, {}};
     auto scratch = engine.make_scratch();
     std::vector<std::int64_t> raw(max_batch * out);
-    for (const std::size_t batch : kCurveBatches) {
-      const auto batch_in = std::span<const float>(inputs).first(batch * in);
-      const auto batch_out = std::span<std::int64_t>(raw).first(batch * out);
-      const auto expected =
-          std::span<const std::int64_t>(reference).first(batch * out);
-      CurvePoint point{batch, 0.0, 0.0, 0.0};
-
-      auto gather_stats = engine.make_stats();
-      point.gather_ns = best_ns_per_sample(
-          [&] {
-            for (std::size_t i = 0; i < batch; ++i) {
-              engine.infer_into(batch_in.subspan(i * in, in),
-                                batch_out.subspan(i * out, out),
-                                gather_stats, scratch, *backend);
-            }
-          },
-          batch);
-      curve.identical = curve.identical &&
-                        std::equal(expected.begin(), expected.end(),
-                                   batch_out.begin());
-
-      auto batched_stats = engine.make_stats();
-      point.batched_ns = best_ns_per_sample(
-          [&] {
-            batched_stats.reset();
-            engine.infer_batch_into(batch_in, batch_out, batched_stats,
-                                    scratch, forced);
-          },
-          batch);
-      curve.identical = curve.identical &&
-                        std::equal(expected.begin(), expected.end(),
-                                   batch_out.begin());
-      // One batched pass must charge exactly what `batch` per-sample
-      // passes do, or modeled energy would move.
-      auto per_sample_stats = engine.make_stats();
-      for (std::size_t i = 0; i < batch; ++i) {
-        engine.infer_into(batch_in.subspan(i * in, in),
-                          batch_out.subspan(i * out, out), per_sample_stats,
-                          scratch, *backend);
+    // passes[p][i]: pass p's timing of kCurveBatches[i].
+    std::vector<CurvePoint> passes[kCurvePasses];
+    for (std::size_t pass = 0; pass < kCurvePasses; ++pass) {
+      for (const std::size_t batch : kCurveBatches) {
+        const auto batch_in = std::span<const float>(inputs).first(batch * in);
+        const auto batch_out = std::span<std::int64_t>(raw).first(batch * out);
+        const auto expected =
+            std::span<const std::int64_t>(reference).first(batch * out);
+        const auto check_outputs = [&] {
+          curve.identical = curve.identical &&
+                            std::equal(expected.begin(), expected.end(),
+                                       batch_out.begin());
+        };
+        auto gather_stats = engine.make_stats();
+        auto batched_stats = engine.make_stats();
+        auto shipped_stats = engine.make_stats();
+        const std::array<std::function<void()>, 3> runs = {
+            [&] {
+              for (std::size_t i = 0; i < batch; ++i) {
+                engine.infer_into(batch_in.subspan(i * in, in),
+                                  batch_out.subspan(i * out, out),
+                                  gather_stats, scratch, *backend);
+              }
+              check_outputs();
+            },
+            [&] {
+              batched_stats.reset();
+              engine.infer_batch_into(batch_in, batch_out, batched_stats,
+                                      scratch, forced);
+              check_outputs();
+            },
+            [&] {
+              engine.infer_batch_into(batch_in, batch_out, shipped_stats,
+                                      scratch, *backend);
+              check_outputs();
+            }};
+        const auto ns = best_ns_per_sample_interleaved(runs, batch);
+        passes[pass].push_back(CurvePoint{batch, ns[0], ns[1], ns[2]});
+        if (pass > 0) continue;
+        // One batched pass must charge exactly what `batch` per-sample
+        // passes do, or modeled energy would move.
+        auto per_sample_stats = engine.make_stats();
+        for (std::size_t i = 0; i < batch; ++i) {
+          engine.infer_into(batch_in.subspan(i * in, in),
+                            batch_out.subspan(i * out, out),
+                            per_sample_stats, scratch, *backend);
+        }
+        curve.identical =
+            curve.identical && same_stats(batched_stats, per_sample_stats);
       }
-      curve.identical =
-          curve.identical && same_stats(batched_stats, per_sample_stats);
-
-      auto shipped_stats = engine.make_stats();
-      point.shipped_ns = best_ns_per_sample(
-          [&] {
-            engine.infer_batch_into(batch_in, batch_out, shipped_stats,
-                                    scratch, *backend);
-          },
-          batch);
-      curve.identical = curve.identical &&
-                        std::equal(expected.begin(), expected.end(),
-                                   batch_out.begin());
-      row.points.push_back(point);
+      row.pass_crossovers[pass] = crossover_of(passes[pass]);
     }
-    // Measured crossover: the smallest B from which the batched tail
-    // beats the gather path at every larger sampled B.
-    for (auto it = row.points.rbegin(); it != row.points.rend(); ++it) {
-      if (it->batched_ns >= it->gather_ns) break;
-      row.measured_crossover = it->batch;
+    // Reported: the median crossover of the passes and, per B, the
+    // median of each path's ns/sample.
+    row.measured_crossover = median_of_passes(row.pass_crossovers);
+    for (std::size_t i = 0; i < std::size(kCurveBatches); ++i) {
+      double gather[kCurvePasses], batched[kCurvePasses],
+          shipped[kCurvePasses];
+      for (std::size_t pass = 0; pass < kCurvePasses; ++pass) {
+        gather[pass] = passes[pass][i].gather_ns;
+        batched[pass] = passes[pass][i].batched_ns;
+        shipped[pass] = passes[pass][i].shipped_ns;
+      }
+      row.points.push_back(CurvePoint{kCurveBatches[i],
+                                      median_of_passes(gather),
+                                      median_of_passes(batched),
+                                      median_of_passes(shipped)});
     }
     curve.backends.push_back(std::move(row));
   }
@@ -454,16 +497,23 @@ LanesCurve run_lanes_curve(const man::engine::FixedNetwork& engine) {
     }
   }
   std::cout << table.to_string();
-  man::util::Table crossovers(
-      {"Backend", "min_batch_lanes()", "measured crossover"});
+  const auto crossover_text = [](std::size_t b) {
+    return b == 0 ? std::string("never") : std::to_string(b);
+  };
+  man::util::Table crossovers({"Backend", "min_batch_lanes()",
+                               "measured crossover (median)", "passes"});
   for (const BackendCurve& row : curve.backends) {
+    std::string passes;
+    for (std::size_t pass = 0; pass < kCurvePasses; ++pass) {
+      passes += (pass == 0 ? "" : ", ") +
+                crossover_text(row.pass_crossovers[pass]);
+    }
     crossovers.add_row(
         {row.name,
          row.min_batch_lanes == man::backend::kNeverBatchLanes
              ? "never"
              : std::to_string(row.min_batch_lanes),
-         row.measured_crossover == 0 ? "never"
-                                     : std::to_string(row.measured_crossover)});
+         crossover_text(row.measured_crossover), passes});
   }
   std::cout << crossovers.to_string()
             << "batched outputs + EngineStats vs per-sample reference: "
@@ -481,7 +531,11 @@ void emit_lanes_curve(std::ofstream& out, const LanesCurve& curve) {
                 ? 0
                 : row.min_batch_lanes)
         << ", \"measured_crossover\": " << row.measured_crossover
-        << ", \"points\": [";
+        << ", \"pass_crossovers\": [";
+    for (std::size_t pass = 0; pass < kCurvePasses; ++pass) {
+      out << (pass == 0 ? "" : ", ") << row.pass_crossovers[pass];
+    }
+    out << "], \"points\": [";
     for (std::size_t i = 0; i < row.points.size(); ++i) {
       const CurvePoint& p = row.points[i];
       out << (i == 0 ? "" : ", ") << "{\"batch\": " << p.batch

@@ -387,7 +387,7 @@ void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
 #endif  // MAN_HAVE_AVX512 && __AVX512F__ && __AVX512VL__
 
 /// min_batch_lanes() of the live AVX-512 path; see docs/backends.md.
-inline constexpr int kAvx512MinBatchLanes = 8;
+inline constexpr int kAvx512MinBatchLanes = 6;
 
 class Avx512Backend final : public KernelBackend {
  public:

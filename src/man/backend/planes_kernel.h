@@ -63,7 +63,7 @@ inline void accumulate_planes(const DenseLayerPlan& plan,
 
 /// min_batch_lanes() of the portable batched walk (the blocked
 /// backend and the SIMD/AVX-512 fallbacks); see docs/backends.md.
-inline constexpr int kPortableMinBatchLanes = 4;
+inline constexpr int kPortableMinBatchLanes = 7;
 
 /// Batch-as-lanes plane walk (KernelBackend::accumulate_dense_batch):
 /// each weight step of the column block reads `lanes` consecutive

@@ -419,7 +419,7 @@ void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
 #endif  // MAN_HAVE_AVX2 && __AVX2__
 
 /// min_batch_lanes() of the live AVX2 path; see docs/backends.md.
-inline constexpr int kAvx2MinBatchLanes = 8;
+inline constexpr int kAvx2MinBatchLanes = 7;
 
 class SimdBackend final : public KernelBackend {
  public:

@@ -74,10 +74,13 @@ void FixedActivationLut::build_integer_path() {
   //    exponent),
   //  * log2(2C) + address_bits ≤ 53 (position·(N-1) keeps every
   //    significant bit; the int64 product then also has ≤ 62 bits).
-  // Then for raw ∈ (-C, C)
+  // Then for raw ∈ [-C, C]
   //   index = floor(((raw + C)·(N-1) + C) / 2C)
-  // matches lround's round-half-up bit for bit, and raw ≤ -C / ≥ +C
-  // land on the table edges. The derivation is additionally
+  // matches lround's round-half-up bit for bit; the dividend is
+  // non-negative and 2C a power of two, so the floor is a right shift
+  // by log2(2C). Clamping raw to [-C, C] first reproduces the double
+  // clamp: the edges give (0 + C) >> log2(2C) = 0 and
+  // (2C·(N-1) + C) >> log2(2C) = N-1. The derivation is additionally
   // probe-verified at every bucket seam ±1 and the clamp edges; any
   // mismatch keeps the reference path.
   if (table_.size() < 2) return;
@@ -98,8 +101,7 @@ void FixedActivationLut::build_integer_path() {
 
   clip_raw_ = clip_raw;
   index_scale_ = static_cast<std::int64_t>(table_.size()) - 1;
-  raw_clamp_lo_ = -clip_raw;
-  raw_clamp_hi_ = clip_raw;
+  index_shift_ = clip_log2 + 1;
   integer_path_ = true;
 
   // Probe the seams: the raw value where lround tips from bucket
@@ -110,8 +112,8 @@ void FixedActivationLut::build_integer_path() {
   };
   bool verified = true;
   for (std::int64_t delta = -2; verified && delta <= 2; ++delta) {
-    verified = agrees(raw_clamp_lo_ + delta) &&
-               agrees(raw_clamp_hi_ + delta) && agrees(delta);
+    verified = agrees(-clip_raw_ + delta) && agrees(clip_raw_ + delta) &&
+               agrees(delta);
   }
   for (std::int64_t i = 1; verified && i <= index_scale_; ++i) {
     const auto seam = static_cast<std::int64_t>(
@@ -121,6 +123,21 @@ void FixedActivationLut::build_integer_path() {
     verified = agrees(seam - 1) && agrees(seam) && agrees(seam + 1);
   }
   integer_path_ = verified;
+}
+
+void FixedActivationLut::apply_raw_in_place(
+    std::span<std::int64_t> values) const noexcept {
+  if (!integer_path_) {
+    for (std::int64_t& v : values) v = apply_raw_reference(v);
+    return;
+  }
+  const std::int32_t* const table = table_.data();
+  const std::int64_t clip_raw = clip_raw_;
+  const std::int64_t index_scale = index_scale_;
+  const int index_shift = index_shift_;
+  for (std::int64_t& v : values) {
+    v = table[index_of(v, clip_raw, index_scale, index_shift)];
+  }
 }
 
 std::int32_t FixedActivationLut::apply_raw_reference(

@@ -7,6 +7,7 @@
 #define MAN_CORE_ACTIVATION_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,13 +45,13 @@ enum class ActivationKind {
 ///
 /// Address arithmetic runs on an **integer-only fast path** whenever
 /// exact equivalence with the original double round-trip can be
-/// established at construction (clip·2^frac integral, power-of-two
-/// clip so the position division is exact, and a bit budget keeping
-/// every intermediate double exact — then the derived clamp window +
-/// multiply/divide index formula is additionally probe-verified at
-/// every bucket seam). Otherwise apply_raw() falls back to the
-/// reference double path; either way the returned entries are
-/// bit-identical, which the exhaustive differential test locks down.
+/// established at construction (clip·2^frac a power-of-two integer C,
+/// and a bit budget keeping every intermediate double exact — then
+/// the clamp-to-[-C, C] + multiply + shift-by-log2(2C) index formula
+/// is additionally probe-verified at every bucket seam). Otherwise
+/// apply_raw() falls back to the reference double path; either way
+/// the returned entries are bit-identical, which the exhaustive
+/// differential test locks down.
 class FixedActivationLut {
  public:
   /// `address_bits` table entries cover inputs in [-clip, +clip]
@@ -75,17 +76,17 @@ class FixedActivationLut {
   [[nodiscard]] std::int32_t apply_raw(
       std::int64_t accumulator_raw) const noexcept {
     if (integer_path_) {
-      if (accumulator_raw <= raw_clamp_lo_) return table_.front();
-      if (accumulator_raw >= raw_clamp_hi_) return table_.back();
-      // round-half-up of (raw + C)·(N-1) / 2C, all exact in int64 —
-      // the bit-for-bit image of lround(position · (N-1)).
-      const std::int64_t index =
-          ((accumulator_raw + clip_raw_) * index_scale_ + clip_raw_) /
-          (2 * clip_raw_);
-      return table_[static_cast<std::size_t>(index)];
+      return table_[index_of(accumulator_raw, clip_raw_, index_scale_,
+                             index_shift_)];
     }
     return apply_raw_reference(accumulator_raw);
   }
+
+  /// apply_raw() over every value of `values`, in place — the engine's
+  /// per-stage sweep. The index parameters live in locals for the
+  /// whole span, so the loop is a branch-free clamp, multiply, shift
+  /// and table load per value.
+  void apply_raw_in_place(std::span<std::int64_t> values) const noexcept;
 
   /// The original double round-trip (resolution multiply, clamp,
   /// position, lround) — the reference the integer path must equal
@@ -102,10 +103,10 @@ class FixedActivationLut {
   /// table.front(), ≥ hi to table.back(). Meaningful only when
   /// integer_path_enabled().
   [[nodiscard]] std::int64_t raw_clamp_lo() const noexcept {
-    return raw_clamp_lo_;
+    return -clip_raw_;
   }
   [[nodiscard]] std::int64_t raw_clamp_hi() const noexcept {
-    return raw_clamp_hi_;
+    return clip_raw_;
   }
   [[nodiscard]] double clip() const noexcept { return clip_; }
 
@@ -117,6 +118,21 @@ class FixedActivationLut {
   /// equivalence with the double path is provable (and seam-verified).
   void build_integer_path();
 
+  /// Table index of the integer path: round-half-up of
+  /// (clamp(raw, -C, C) + C)·(N-1) / 2C, with the division by the
+  /// power of two 2C done as a shift. The dividend is never negative,
+  /// so the shift is the floor the exact formula needs, and the clamp
+  /// edges land exactly on indices 0 and N-1.
+  [[nodiscard]] static std::size_t index_of(std::int64_t raw,
+                                            std::int64_t clip_raw,
+                                            std::int64_t index_scale,
+                                            int index_shift) noexcept {
+    raw = raw < -clip_raw ? -clip_raw : raw;
+    raw = raw > clip_raw ? clip_raw : raw;
+    return static_cast<std::size_t>(
+        ((raw + clip_raw) * index_scale + clip_raw) >> index_shift);
+  }
+
   ActivationKind kind_;
   man::fixed::QFormat input_format_;
   man::fixed::QFormat output_format_;
@@ -124,10 +140,9 @@ class FixedActivationLut {
   std::vector<std::int32_t> table_;
   // Integer fast path (valid when integer_path_):
   bool integer_path_ = false;
-  std::int64_t clip_raw_ = 0;      ///< C = clip · 2^frac (exact)
-  std::int64_t index_scale_ = 0;   ///< N - 1
-  std::int64_t raw_clamp_lo_ = 0;  ///< -C
-  std::int64_t raw_clamp_hi_ = 0;  ///< +C
+  std::int64_t clip_raw_ = 0;     ///< C = clip · 2^frac (exact)
+  std::int64_t index_scale_ = 0;  ///< N - 1
+  int index_shift_ = 0;           ///< log2(2C)
 };
 
 }  // namespace man::core

@@ -182,6 +182,39 @@ void PrecomputerCache::configure_range(std::int64_t min_raw,
   flat_entries_ = 0;
 }
 
+void PrecomputerCache::lookup_rows(std::span<const std::int64_t> inputs,
+                                   const std::int32_t** rows,
+                                   OpCounts& counts) {
+  std::int32_t* const flat = flat_.data();
+  std::uint8_t* const filled = flat_filled_.data();
+  const auto min = static_cast<std::uint64_t>(flat_min_);
+  const std::uint64_t span = flat_span_;
+  const std::size_t k = flat_k_;
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    // Subtraction in uint64 is wrap-safe for any input; a wrapped
+    // offset fails the span check.
+    const std::uint64_t offset = static_cast<std::uint64_t>(inputs[i]) - min;
+    if (offset >= span) {
+      hits_ += hits;
+      throw_out_of_window(inputs[i]);
+    }
+    std::int32_t* row = flat + offset * k;
+    if (filled[offset] != 0) {
+      ++hits;
+    } else {
+      ++misses_;
+      // Marked filled only after the bank succeeds, so a throwing bank
+      // cannot poison the row with zeros.
+      fill_row(inputs[i], row, counts);
+      filled[offset] = 1;
+      ++flat_entries_;
+    }
+    rows[i] = row;
+  }
+  hits_ += hits;
+}
+
 void PrecomputerCache::fill_row(std::int64_t input, std::int32_t* row,
                                 OpCounts& counts) {
   // A set holds distinct alphabets in [1, kMaxAlphabetValue].

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "man/core/alphabet_set.h"
@@ -153,24 +154,19 @@ class PrecomputerCache {
   /// no window is armed).
   [[nodiscard]] const std::int32_t* lookup(std::int64_t input,
                                            OpCounts& counts) {
-    // Subtraction in uint64 is wrap-safe for any input; a wrapped
-    // offset fails the span check.
-    const std::uint64_t offset = static_cast<std::uint64_t>(input) -
-                                 static_cast<std::uint64_t>(flat_min_);
-    if (offset >= flat_span_) throw_out_of_window(input);
-    std::int32_t* row = flat_.data() + offset * flat_k_;
-    if (flat_filled_[offset] != 0) {
-      ++hits_;
-      return row;
-    }
-    ++misses_;
-    // Marked filled only after the bank succeeds, so a throwing bank
-    // cannot poison the row with zeros.
-    fill_row(input, row, counts);
-    flat_filled_[offset] = 1;
-    ++flat_entries_;
+    const std::int32_t* row = nullptr;
+    lookup_rows(std::span<const std::int64_t>(&input, 1), &row, counts);
     return row;
   }
+
+  /// lookup() of every value of `inputs`, its row pointer into
+  /// `rows[i]` — the staging loops' entry point. The window, the row
+  /// width and the hit count live in locals for the whole span, so a
+  /// hit is a subtract, a compare, a flag load and a multiply-add.
+  /// Counters, fills and the out-of-window throw match a sequence of
+  /// lookup() calls (rows before a throwing input are resolved).
+  void lookup_rows(std::span<const std::int64_t> inputs,
+                   const std::int32_t** rows, OpCounts& counts);
 
   [[nodiscard]] const PrecomputerBank* bank() const noexcept { return bank_; }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }

@@ -1,6 +1,7 @@
 #include "man/engine/fixed_network.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "man/backend/conv_autotune.h"
@@ -29,69 +30,88 @@ man::fixed::QFormat accumulator_format(const man::nn::QuantSpec& spec) {
       30, spec.weight_format.frac_bits() + spec.activation_format.frac_bits());
 }
 
+// Staged values resolved per PrecomputerCache::lookup_rows() call by
+// the per-sample staging loops (row pointers live on the stack).
+constexpr std::size_t kRowChunk = 256;
+
 // Stages the CSHM bank outputs of every input element, k-strided
 // element-major, into `multiples` (values.size() × k slots) — the
 // dense path's staging loop. Values resolve through the cache's flat
-// table (subtract + indexed load, no hashing); consecutive repeated
-// values (long background runs in images, saturated LUT outputs)
-// replay the row just written without even that.
+// table (subtract + indexed load, no hashing).
 void stage_multiples(std::span<const std::int64_t> values, std::size_t k,
                      man::core::PrecomputerCache& cache,
                      std::int32_t* multiples) {
   OpCounts discard;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    std::int32_t* dest = multiples + i * k;
-    if (i > 0 && values[i] == values[i - 1]) {
-      std::copy(dest - k, dest, dest);
-      continue;
+  const std::int32_t* rows[kRowChunk];
+  for (std::size_t i0 = 0; i0 < values.size(); i0 += kRowChunk) {
+    const std::size_t n = std::min(kRowChunk, values.size() - i0);
+    cache.lookup_rows(values.subspan(i0, n), rows, discard);
+    std::int32_t* dest = multiples + i0 * k;
+    for (std::size_t i = 0; i < n; ++i, dest += k) {
+      std::copy_n(rows[i], k, dest);
     }
-    const std::int32_t* row = cache.lookup(values[i], discard);
-    std::copy(row, row + k, dest);
   }
 }
 
 // Lane-major variant for the conv path: lane l's multiple of element i
 // lands at multiples[l · values.size() + i], so consecutive output
 // positions of one conv weight read consecutive slots (the layout
-// ConvLayerPlan::idx indexes). Same flat-table and repeated-value
-// fast paths.
+// ConvLayerPlan::idx indexes). Written one lane at a time, so the
+// stores run contiguously.
 void stage_multiples_lane_major(std::span<const std::int64_t> values,
                                 std::size_t k,
                                 man::core::PrecomputerCache& cache,
                                 std::int32_t* multiples) {
   OpCounts discard;
+  const std::int32_t* rows[kRowChunk];
   const std::size_t stride = values.size();
-  for (std::size_t i = 0; i < stride; ++i) {
-    if (i > 0 && values[i] == values[i - 1]) {
-      for (std::size_t l = 0; l < k; ++l) {
-        multiples[l * stride + i] = multiples[l * stride + i - 1];
-      }
-      continue;
-    }
-    const std::int32_t* row = cache.lookup(values[i], discard);
+  for (std::size_t i0 = 0; i0 < stride; i0 += kRowChunk) {
+    const std::size_t n = std::min(kRowChunk, stride - i0);
+    cache.lookup_rows(values.subspan(i0, n), rows, discard);
     for (std::size_t l = 0; l < k; ++l) {
-      multiples[l * stride + i] = row[l];
+      std::int32_t* dest = multiples + l * stride + i0;
+      for (std::size_t i = 0; i < n; ++i) dest[i] = rows[i][l];
     }
   }
 }
 
-// Slot-major staging for one column block [c0, c1) of a batch tile:
-// alphabet l of column c, sample b lands at ((c − c0)·k + l)·lanes + b
-// — the layout KernelBackend::accumulate_dense_batch reads, so one
-// weight step loads `lanes` consecutive slots. value(c, b) yields input
-// c of sample b; lookups go through the same flat-table cache as the
+// Slot-major staging for one column block of a batch tile. `values`
+// holds the block's inputs lane-major (input c of sample b at
+// c·lanes + b, c counted from the block's first column); alphabet l of
+// that input lands at (c·k + l)·lanes + b — the layout
+// KernelBackend::accumulate_dense_batch reads, so one weight step
+// loads `lanes` consecutive slots. Each column's lanes resolve in one
+// lookup_rows() call through the same flat-table cache as the
 // per-sample path.
-template <typename Value>
-void stage_tile_block(Value&& value, std::size_t c0, std::size_t c1,
-                      std::size_t lanes, std::size_t k,
-                      man::core::PrecomputerCache& cache,
+void stage_tile_block(std::span<const std::int64_t> values, std::size_t lanes,
+                      std::size_t k, man::core::PrecomputerCache& cache,
                       std::int32_t* block) {
   OpCounts discard;
-  for (std::size_t c = c0; c < c1; ++c) {
-    std::int32_t* dest = block + (c - c0) * k * lanes;
+  const std::int32_t* rows[man::backend::kMaxBatchLanes];
+  for (std::size_t v0 = 0; v0 < values.size(); v0 += lanes) {
+    cache.lookup_rows(values.subspan(v0, lanes), rows, discard);
     for (std::size_t b = 0; b < lanes; ++b) {
-      const std::int32_t* row = cache.lookup(value(c, b), discard);
-      for (std::size_t l = 0; l < k; ++l) dest[l * lanes + b] = row[l];
+      for (std::size_t l = 0; l < k; ++l) block[l * lanes + b] = rows[b][l];
+    }
+    block += k * lanes;
+  }
+}
+
+// Quantizes pixels [c0, c1) of `lanes` consecutive samples (each
+// `stride` floats) into `values`, lane-major as stage_tile_block reads
+// them. Each sample's pixels are read as one contiguous run: walking
+// the lanes of one column instead would put every load `stride`
+// floats apart, into the same few L1 sets.
+void quantize_tile_block(const man::fixed::QFormat& format,
+                         const float* pixels, std::size_t stride,
+                         std::size_t c0, std::size_t c1, std::size_t lanes,
+                         std::vector<std::int64_t>& values) {
+  values.resize((c1 - c0) * lanes);
+  std::int64_t* const dest = values.data();
+  for (std::size_t b = 0; b < lanes; ++b) {
+    const float* row = pixels + b * stride + c0;
+    for (std::size_t c = 0; c < c1 - c0; ++c) {
+      dest[c * lanes + b] = format.quantize(static_cast<double>(row[c]));
     }
   }
 }
@@ -119,10 +139,56 @@ void check_int32_bound(const Plan& plan, const man::core::PrecomputerBank& bank,
 void quantize_pixels(const man::fixed::QFormat& format,
                      std::span<const float> pixels,
                      std::vector<std::int64_t>& buffer) {
-  buffer.clear();
-  buffer.reserve(pixels.size());
-  for (float p : pixels) {
-    buffer.push_back(format.quantize(static_cast<double>(p)));
+  buffer.resize(pixels.size());
+  std::int64_t* const dest = buffer.data();
+  for (std::size_t i = 0; i < pixels.size(); ++i) {
+    dest[i] = format.quantize(static_cast<double>(pixels[i]));
+  }
+}
+
+// Non-overlapping window×window average pooling of `c` channels of
+// ih×iw activations into c×oh×ow outputs, rounded to nearest with
+// ties away from zero: sign(sum)·divide(|sum|), where divide(m) is
+// floor((m + n/2) / n) for n = window². Each output row accumulates
+// its window sums in place, one input row pointer at a time, then
+// rounds them.
+template <typename Divide>
+void average_pool_rows(const std::int64_t* in, std::int64_t* out, int c,
+                       int ih, int iw, int window, int oh, int ow,
+                       Divide divide) {
+  const auto row = static_cast<std::ptrdiff_t>(iw);
+  const auto step = static_cast<std::ptrdiff_t>(window);
+  for (int ch = 0; ch < c; ++ch) {
+    const std::int64_t* r = in + static_cast<std::ptrdiff_t>(ch) * ih * iw;
+    for (int oy = 0; oy < oh; ++oy, out += ow) {
+      std::fill_n(out, ow, 0);
+      for (std::ptrdiff_t y = 0; y < step; ++y, r += row) {
+        for (std::ptrdiff_t x = 0; x < step; ++x) {
+          for (int ox = 0; ox < ow; ++ox) out[ox] += r[ox * step + x];
+        }
+      }
+      for (int ox = 0; ox < ow; ++ox) {
+        const std::int64_t sign = out[ox] >> 63;  // 0 or -1
+        out[ox] = (divide((out[ox] ^ sign) - sign) ^ sign) - sign;
+      }
+    }
+  }
+}
+
+// average_pool_rows with its divisor fixed once per stage: a shift
+// when window² is a power of two (the hardware's add tree + shift),
+// an integer division otherwise.
+void average_pool(const std::int64_t* in, std::int64_t* out, int c, int ih,
+                  int iw, int window, int oh, int ow) {
+  const std::int64_t n = std::int64_t{window} * window;
+  const std::int64_t half = n / 2;
+  if ((n & (n - 1)) == 0) {
+    const int shift = std::countr_zero(static_cast<std::uint64_t>(n));
+    average_pool_rows(in, out, c, ih, iw, window, oh, ow,
+                      [=](std::int64_t m) { return (m + half) >> shift; });
+  } else {
+    average_pool_rows(in, out, c, ih, iw, window, oh, ow,
+                      [=](std::int64_t m) { return (m + half) / n; });
   }
 }
 
@@ -793,35 +859,15 @@ void FixedNetwork::run_stages(std::size_t end, EngineStats& stats,
       std::swap(buffer, next);
     } else if (const auto* pool = std::get_if<PoolStage>(&stage)) {
       std::vector<std::int64_t>& next = scratch.next;
-      next.assign(static_cast<std::size_t>(pool->c) * pool->oh * pool->ow, 0);
-      const int n = pool->window * pool->window;
+      next.resize(static_cast<std::size_t>(pool->c) * pool->oh * pool->ow);
       timed_phase(profile, &PhaseProfile::pool_s, [&] {
-        for (int c = 0; c < pool->c; ++c) {
-          for (int oy = 0; oy < pool->oh; ++oy) {
-            for (int ox = 0; ox < pool->ow; ++ox) {
-              std::int64_t acc = 0;
-              for (int wy = 0; wy < pool->window; ++wy) {
-                for (int wx = 0; wx < pool->window; ++wx) {
-                  acc += buffer[static_cast<std::size_t>(
-                      (c * pool->ih + oy * pool->window + wy) * pool->iw +
-                      ox * pool->window + wx)];
-                }
-              }
-              // Round-to-nearest average (hardware: add tree + shift
-              // for power-of-two windows).
-              const std::int64_t rounded =
-                  acc >= 0 ? (acc + n / 2) / n : -((-acc + n / 2) / n);
-              next[static_cast<std::size_t>((c * pool->oh + oy) * pool->ow +
-                                            ox)] = rounded;
-            }
-          }
-        }
+        average_pool(buffer.data(), next.data(), pool->c, pool->ih, pool->iw,
+                     pool->window, pool->oh, pool->ow);
       });
       std::swap(buffer, next);
     } else if (const auto* lut = std::get_if<LutStage>(&stage)) {
-      timed_phase(profile, &PhaseProfile::lut_s, [&] {
-        for (std::int64_t& v : buffer) v = lut->lut.apply_raw(v);
-      });
+      timed_phase(profile, &PhaseProfile::lut_s,
+                  [&] { lut->lut.apply_raw_in_place(buffer); });
       if (profile != nullptr) profile->lut_values += buffer.size();
     }
   }
@@ -855,9 +901,8 @@ void FixedNetwork::forward_tile(std::span<const float> inputs,
   std::size_t synapse = tail_synapse_;
   for (std::size_t si = tail_begin_; si < stages_.size(); ++si) {
     if (const auto* lut = std::get_if<LutStage>(&stages_[si])) {
-      timed_phase(profile, &PhaseProfile::lut_s, [&] {
-        for (std::int64_t& v : tile) v = lut->lut.apply_raw(v);
-      });
+      timed_phase(profile, &PhaseProfile::lut_s,
+                  [&] { lut->lut.apply_raw_in_place(tile); });
       if (profile != nullptr) profile->lut_values += tile.size();
       continue;
     }
@@ -875,8 +920,9 @@ void FixedNetwork::forward_tile(std::span<const float> inputs,
     }
     // Column blocks of about kTileBlockBytes of staged multiples keep
     // them L1-resident while every row streams over them; the first
-    // tail stage quantizes its pixels as it stages them, so no
-    // lane-major copy of the input is ever made.
+    // tail stage quantizes its pixels one column block at a time into
+    // scratch.buffer (unused when the tail starts at stage 0), so no
+    // lane-major copy of the whole input is ever made.
     const auto k = static_cast<std::size_t>(plan.k);
     const std::size_t block_cols = std::max<std::size_t>(
         1, kTileBlockBytes / (sizeof(std::int32_t) * k * n));
@@ -888,17 +934,14 @@ void FixedNetwork::forward_tile(std::span<const float> inputs,
       const std::size_t c1 = std::min(cols, c0 + block_cols);
       timed_phase(profile, &PhaseProfile::staging_s, [&] {
         if (from_pixels) {
-          stage_tile_block(
-              [&](std::size_t c, std::size_t b) -> std::int64_t {
-                return spec_.activation_format.quantize(
-                    static_cast<double>(inputs[b * input_size_ + c]));
-              },
-              c0, c1, n, k, cache, block.data());
-        } else {
-          stage_tile_block(
-              [&](std::size_t c, std::size_t b) { return tile[c * n + b]; },
-              c0, c1, n, k, cache, block.data());
+          quantize_tile_block(spec_.activation_format, inputs.data(),
+                              input_size_, c0, c1, n, scratch.buffer);
         }
+        const std::span<const std::int64_t> values =
+            from_pixels ? std::span<const std::int64_t>(scratch.buffer)
+                        : std::span<const std::int64_t>(tile).subspan(
+                              c0 * n, (c1 - c0) * n);
+        stage_tile_block(values, n, k, cache, block.data());
       });
       timed_phase(profile, &PhaseProfile::kernel_s, [&] {
         kernel.accumulate_dense_batch(plan, block.data(), lanes,

@@ -167,7 +167,9 @@ class FixedNetwork {
   /// scratch (a shard). Obtain via make_scratch(); the engine must
   /// outlive it.
   struct InferScratch {
-    std::vector<std::int64_t> buffer;  ///< current stage activations
+    /// Current stage activations; for a dense tail that starts at
+    /// the first stage, one column block of quantized pixels.
+    std::vector<std::int64_t> buffer;
     std::vector<std::int64_t> next;    ///< next stage activations
     /// Bank outputs (int32, as the kernel lanes read them):
     /// k-strided element-major for dense stages, lane-major (plus

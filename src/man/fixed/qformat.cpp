@@ -20,17 +20,6 @@ QFormat::QFormat(int total_bits, int frac_bits)
   scale_ = std::ldexp(1.0, frac_bits);
 }
 
-std::int32_t QFormat::quantize(double value) const noexcept {
-  if (std::isnan(value)) return 0;
-  const double scaled = value * scale_;
-  // Round half away from zero, matching common DSP quantizers.
-  const double rounded = scaled >= 0.0 ? std::floor(scaled + 0.5)
-                                       : std::ceil(scaled - 0.5);
-  if (rounded >= static_cast<double>(max_raw_)) return max_raw_;
-  if (rounded <= static_cast<double>(-max_raw_)) return -max_raw_;
-  return static_cast<std::int32_t>(rounded);
-}
-
 std::int32_t QFormat::saturate(std::int64_t raw) const noexcept {
   if (raw > max_raw_) return max_raw_;
   if (raw < -static_cast<std::int64_t>(max_raw_)) return -max_raw_;

@@ -13,6 +13,7 @@
 #ifndef MAN_FIXED_QFORMAT_H
 #define MAN_FIXED_QFORMAT_H
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -55,8 +56,23 @@ class QFormat {
   [[nodiscard]] double resolution() const noexcept { return 1.0 / scale_; }
 
   /// Quantizes a real value: round-to-nearest (ties away from zero),
-  /// saturating to the representable range.
-  [[nodiscard]] std::int32_t quantize(double value) const noexcept;
+  /// saturating to the representable range; NaN maps to 0.
+  ///
+  /// Branch-free and libm-free, so per-pixel loops stay tight: clamp
+  /// to ±max_raw, then truncate v + copysign(0.5, v). Bit-identical
+  /// to the textbook floor(v + 0.5) / ceil(v - 0.5) for every double:
+  /// the sum is the same rounded double the floor/ceil sees,
+  /// truncation equals floor on non-negative and ceil on non-positive
+  /// sums, and the clamp bounds are integers, so saturating first
+  /// gives the same result as saturating the rounded value.
+  [[nodiscard]] std::int32_t quantize(double value) const noexcept {
+    double scaled = value * scale_;
+    scaled = scaled == scaled ? scaled : 0.0;  // NaN
+    const auto limit = static_cast<double>(max_raw_);
+    scaled = scaled < -limit ? -limit : scaled;
+    scaled = scaled > limit ? limit : scaled;
+    return static_cast<std::int32_t>(scaled + std::copysign(0.5, scaled));
+  }
 
   /// Reconstructs the real value of a stored integer.
   [[nodiscard]] double dequantize(std::int32_t raw) const noexcept {

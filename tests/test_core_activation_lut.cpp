@@ -6,12 +6,16 @@
 // out to the extremes) for every activation kind × accumulator
 // QFormat × address_bits combination the registered apps use, plus
 // seam/boundary and fallback coverage for formats outside that set.
+// The span entry point the engine sweeps stages with
+// (apply_raw_in_place) is held to the same reference over the same
+// windows and out to the int64 extremes.
 #include "man/core/activation.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "man/util/rng.h"
 
@@ -27,7 +31,36 @@ using man::fixed::QFormat;
 QFormat acc8() { return QFormat(30, 14); }
 QFormat acc12() { return QFormat(30, 18); }
 
-// Exhaustive agreement over [lo, hi] plus saturation samples outside.
+// Values far outside any clamp window, both signs, out to the int64
+// extremes.
+std::vector<std::int64_t> far_values() {
+  std::vector<std::int64_t> values = {std::numeric_limits<std::int64_t>::min(),
+                                      std::numeric_limits<std::int64_t>::max()};
+  for (int bit : {20, 29, 31, 32, 40, 52, 53, 62}) {
+    const std::int64_t v = std::int64_t{1} << bit;
+    for (std::int64_t x : {v - 1, v, v + 1}) {
+      values.push_back(x);
+      values.push_back(-x);
+    }
+  }
+  return values;
+}
+
+// The span entry point (apply_raw_in_place) maps every value exactly
+// as the reference does.
+void expect_span_matches_reference(const FixedActivationLut& lut,
+                                   std::vector<std::int64_t> values) {
+  for (std::int64_t v : far_values()) values.push_back(v);
+  std::vector<std::int64_t> applied = values;
+  lut.apply_raw_in_place(applied);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(applied[i], lut.apply_raw_reference(values[i]))
+        << "span raw=" << values[i];
+  }
+}
+
+// Exhaustive agreement over [lo, hi] plus saturation samples outside,
+// through apply_raw and through the span entry point.
 void expect_identical_over(const FixedActivationLut& lut, std::int64_t lo,
                            std::int64_t hi) {
   for (std::int64_t raw = lo; raw <= hi; ++raw) {
@@ -44,6 +77,9 @@ void expect_identical_over(const FixedActivationLut& lut, std::int64_t lo,
     ASSERT_EQ(lut.apply_raw(-raw), lut.apply_raw_reference(-raw))
         << "raw=" << -raw;
   }
+  std::vector<std::int64_t> window;
+  for (std::int64_t raw = lo; raw <= hi; ++raw) window.push_back(raw);
+  expect_span_matches_reference(lut, std::move(window));
 }
 
 TEST(FixedActivationLutInteger, ExhaustiveOverAppCombinations) {
@@ -110,12 +146,15 @@ TEST(FixedActivationLutInteger, NonDefaultAddressBitsAndFormats) {
                               lut.raw_clamp_hi() + 64);
       } else {
         man::util::Rng rng(77);
+        std::vector<std::int64_t> probes;
         for (int probe = 0; probe < 50000; ++probe) {
           const std::int64_t raw = rng.next_in(lut.raw_clamp_lo() - 1024,
                                                lut.raw_clamp_hi() + 1024);
           ASSERT_EQ(lut.apply_raw(raw), lut.apply_raw_reference(raw))
               << "raw=" << raw;
+          probes.push_back(raw);
         }
+        expect_span_matches_reference(lut, std::move(probes));
       }
     }
   }
@@ -130,11 +169,14 @@ TEST(FixedActivationLutInteger, NonPowerOfTwoClipFallsBack) {
                                QFormat::input8(), 10, /*clip=*/6.0);
   EXPECT_FALSE(lut.integer_path_enabled());
   man::util::Rng rng(5);
+  std::vector<std::int64_t> probes;
   for (int probe = 0; probe < 10000; ++probe) {
     const std::int64_t raw = rng.next_in(-(std::int64_t{1} << 20),
                                          std::int64_t{1} << 20);
     ASSERT_EQ(lut.apply_raw(raw), lut.apply_raw_reference(raw));
+    probes.push_back(raw);
   }
+  expect_span_matches_reference(lut, std::move(probes));
 }
 
 // A fractional clip whose raw-domain edge is not an integer must also
@@ -143,9 +185,12 @@ TEST(FixedActivationLutInteger, SubResolutionClipFallsBack) {
   const FixedActivationLut lut(ActivationKind::kIdentity, QFormat(8, 0),
                                QFormat::input8(), 4, /*clip=*/0.25);
   EXPECT_FALSE(lut.integer_path_enabled());
+  std::vector<std::int64_t> window;
   for (std::int64_t raw = -16; raw <= 16; ++raw) {
     ASSERT_EQ(lut.apply_raw(raw), lut.apply_raw_reference(raw));
+    window.push_back(raw);
   }
+  expect_span_matches_reference(lut, std::move(window));
 }
 
 // Power-of-two clips other than the default 8.0 keep the fast path.

@@ -1,7 +1,9 @@
 // The fixed-point processing engine: bit-exactness of the ASM datapath
 // against the conventional one on constrained weights, plan handling,
-// and activity statistics.
+// activity statistics, and the average-pooling rounding rule.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "man/engine/fixed_network.h"
 #include "man/nn/activation_layer.h"
@@ -266,6 +268,125 @@ TEST(FixedNetwork, RejectsWrongInputSize) {
                       LayerAlphabetPlan::conventional(2));
   const std::vector<float> too_small(7, 0.5f);
   EXPECT_THROW((void)engine.predict(too_small), std::invalid_argument);
+}
+
+// Test-local image of the engine's average-pooling rule: each
+// window's sum rounded to nearest, ties away from zero, by integer
+// division (the engine shifts when window² is a power of two).
+std::vector<std::int64_t> reference_pool(const std::vector<std::int64_t>& in,
+                                         int c, int ih, int iw, int window) {
+  const std::int64_t n = std::int64_t{window} * window;
+  std::vector<std::int64_t> out;
+  for (int ch = 0; ch < c; ++ch) {
+    for (int oy = 0; oy < ih / window; ++oy) {
+      for (int ox = 0; ox < iw / window; ++ox) {
+        std::int64_t sum = 0;
+        for (int wy = 0; wy < window; ++wy) {
+          for (int wx = 0; wx < window; ++wx) {
+            sum += in[static_cast<std::size_t>(
+                (ch * ih + oy * window + wy) * iw + ox * window + wx)];
+          }
+        }
+        out.push_back(sum >= 0 ? (sum + n / 2) / n : -((-sum + n / 2) / n));
+      }
+    }
+  }
+  return out;
+}
+
+// A pool-only engine fed `images` (per sample and batched) against
+// reference_pool over the quantized pixels.
+void expect_pool_matches_reference(int c, int ih, int iw, int window,
+                                   const std::vector<std::vector<float>>& images) {
+  Network net;
+  net.add<AvgPool2D>(c, ih, iw, window);
+  const QuantSpec spec = QuantSpec::bits8();
+  FixedNetwork engine(net, spec, LayerAlphabetPlan::conventional(0));
+  std::vector<float> batch;
+  std::vector<std::int64_t> expected;
+  for (const std::vector<float>& image : images) {
+    std::vector<std::int64_t> raw;
+    for (float p : image) raw.push_back(spec.activation_format.quantize(p));
+    const auto want = reference_pool(raw, c, ih, iw, window);
+    ASSERT_EQ(engine.forward_raw(image), want) << "window " << window;
+    batch.insert(batch.end(), image.begin(), image.end());
+    expected.insert(expected.end(), want.begin(), want.end());
+  }
+  std::vector<std::int64_t> outputs(expected.size());
+  auto stats = engine.make_stats();
+  auto scratch = engine.make_scratch();
+  engine.infer_batch_into(batch, outputs, stats, scratch,
+                          engine.default_kernel());
+  EXPECT_EQ(outputs, expected) << "window " << window << " batched";
+}
+
+// Pixels on the input grid (raw / 256) quantize to exactly `raw`.
+float grid_pixel(int raw) { return static_cast<float>(raw) / 256.0f; }
+
+// Signed random images in [-1, 1].
+std::vector<std::vector<float>> signed_images(std::size_t count,
+                                              std::size_t pixels,
+                                              std::uint64_t seed) {
+  man::util::Rng rng(seed);
+  std::vector<std::vector<float>> images(count);
+  for (auto& image : images) {
+    for (std::size_t i = 0; i < pixels; ++i) {
+      image.push_back(static_cast<float>(2.0 * rng.next_double() - 1.0));
+    }
+  }
+  return images;
+}
+
+// Window 3: divisor 9 is not a power of two, so the engine takes its
+// division path. The crafted image puts window sums -40..40 (every
+// residue mod 9, both signs) in channel 0.
+TEST(FixedNetworkPool, WindowThreeDividesByNine) {
+  const int c = 2, ih = 9, iw = 27 * 3;
+  auto images = signed_images(40, static_cast<std::size_t>(c * ih * iw), 91);
+  std::vector<float> crafted(static_cast<std::size_t>(c * ih * iw), 0.0f);
+  for (int ox = 0; ox < 27; ++ox) {
+    for (int oy = 0; oy < 3; ++oy) {
+      const int sum = (oy * 27 + ox) - 40;
+      // Split the sum over two pixels of the window.
+      crafted[static_cast<std::size_t>((oy * 3) * iw + ox * 3)] =
+          grid_pixel(sum / 2);
+      crafted[static_cast<std::size_t>((oy * 3 + 2) * iw + ox * 3 + 1)] =
+          grid_pixel(sum - sum / 2);
+    }
+  }
+  images.push_back(crafted);
+  expect_pool_matches_reference(c, ih, iw, 3, images);
+}
+
+// Window 2 with negative sums: divisor 4 takes the shift path, and
+// sums -12..12 (ties at ±2, ±6, ±10 round away from zero) must round
+// exactly as the division formula does.
+TEST(FixedNetworkPool, WindowTwoRoundsNegativeSumsAwayFromZero) {
+  const int c = 3, ih = 2, iw = 2 * 25;
+  std::vector<float> crafted(static_cast<std::size_t>(c * ih * iw), 0.0f);
+  for (int ch = 0; ch < c; ++ch) {
+    for (int ox = 0; ox < 25; ++ox) {
+      const int sum = ox - 12;
+      const auto base = static_cast<std::size_t>(ch * ih * iw + ox * 2);
+      // Channel 0: one pixel; channel 1: spread; channel 2: mixed signs.
+      if (ch == 0) {
+        crafted[base] = grid_pixel(sum);
+      } else if (ch == 1) {
+        crafted[base] = grid_pixel(sum / 2);
+        crafted[base + static_cast<std::size_t>(iw) + 1] =
+            grid_pixel(sum - sum / 2);
+      } else {
+        crafted[base] = grid_pixel(sum - 200);
+        crafted[base + 1] = grid_pixel(200);
+      }
+    }
+  }
+  auto images = signed_images(40, static_cast<std::size_t>(c * ih * iw), 92);
+  for (auto& image : images) {
+    for (float& p : image) p = -std::abs(p);  // every sum negative
+  }
+  images.push_back(crafted);
+  expect_pool_matches_reference(c, ih, iw, 2, images);
 }
 
 TEST(LayerAlphabetPlan, LabelsAreInformative) {
