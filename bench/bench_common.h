@@ -48,7 +48,7 @@ inline std::string bench_json_path() {
 
 /// Batched accuracy over a split (the engine-evaluation loop every
 /// accuracy bench goes through).
-inline double evaluate_batched(man::engine::FixedNetwork& engine,
+inline double evaluate_batched(const man::engine::FixedNetwork& engine,
                                std::span<const man::data::Example> examples) {
   man::engine::BatchRunner runner(
       engine, man::engine::BatchOptions{.workers = bench_workers()});

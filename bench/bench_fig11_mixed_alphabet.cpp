@@ -15,6 +15,7 @@ namespace {
 
 using man::apps::AppId;
 using man::apps::AppSpec;
+using man::bench::evaluate_batched;
 using man::core::AlphabetSet;
 using man::core::MultiplierKind;
 using man::engine::FixedNetwork;
@@ -69,7 +70,7 @@ int main() {
     // Conventional reference.
     FixedNetwork conv_engine(baseline, app.quant(),
                              LayerAlphabetPlan::conventional(layers));
-    const double conv_acc = conv_engine.evaluate(dataset.test);
+    const double conv_acc = evaluate_batched(conv_engine, dataset.test);
     const double conv_energy =
         compute_network_energy(app.energy_spec()).total_energy_pj;
     table.add_row({app.name, "conventional",
@@ -80,7 +81,7 @@ int main() {
     FixedNetwork man_engine(
         man_net, app.quant(),
         LayerAlphabetPlan::uniform_asm(layers, AlphabetSet::man()));
-    const double man_acc = man_engine.evaluate(dataset.test);
+    const double man_acc = evaluate_batched(man_engine, dataset.test);
     const auto man_energy_spec = energy_with_sets(
         app, std::vector<AlphabetSet>(layers, AlphabetSet::man()));
     const double man_energy =
@@ -97,7 +98,7 @@ int main() {
         LayerAlphabetPlan::mixed_tail(
             layers, upgrade_penult ? AlphabetSet::two() : AlphabetSet::man(),
             AlphabetSet::four()));
-    const double mixed_acc = mixed_engine.evaluate(dataset.test);
+    const double mixed_acc = evaluate_batched(mixed_engine, dataset.test);
     const auto mixed_spec = energy_with_sets(app, sets);
     const double mixed_energy =
         compute_network_energy(mixed_spec).total_energy_pj;

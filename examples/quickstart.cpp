@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "man/core/asm_multiplier.h"
-#include "man/engine/fixed_network.h"
+#include "man/engine/batch_runner.h"
 #include "man/nn/activation_layer.h"
 #include "man/nn/algorithm2.h"
 #include "man/nn/dense.h"
@@ -75,19 +75,19 @@ int main() {
   std::printf("retrained (MAN {1}) float accuracy: %.3f\n", retrained);
 
   // Bit-accurate fixed-point engine with multiplier-less neurons.
-  engine::FixedNetwork fixed(
+  const engine::FixedNetwork fixed(
       net, nn::QuantSpec::bits8(),
       engine::LayerAlphabetPlan::uniform_asm(2, core::AlphabetSet::man()));
+  engine::BatchRunner runner(fixed);
   std::printf("fixed-point MAN engine accuracy: %.3f\n",
-              fixed.evaluate(test));
+              runner.evaluate(test).accuracy);
+  const engine::EngineStats& stats = runner.stats();
+  const auto shifts = stats.layers[0].ops.shifts + stats.layers[1].ops.shifts;
+  const auto adds = stats.layers[0].ops.adds + stats.layers[1].ops.adds;
   std::printf("engine activity: %llu MACs, %llu shifts, %llu adds, "
               "0 multiplies\n",
-              static_cast<unsigned long long>(fixed.stats().total_macs()),
-              static_cast<unsigned long long>(
-                  fixed.stats().layers[0].ops.shifts +
-                  fixed.stats().layers[1].ops.shifts),
-              static_cast<unsigned long long>(
-                  fixed.stats().layers[0].ops.adds +
-                  fixed.stats().layers[1].ops.adds));
+              static_cast<unsigned long long>(stats.total_macs()),
+              static_cast<unsigned long long>(shifts),
+              static_cast<unsigned long long>(adds));
   return 0;
 }

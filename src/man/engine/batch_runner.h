@@ -106,7 +106,7 @@ class BatchRunner {
       std::span<const man::data::Example> examples);
 
   /// Aggregate activity across every batch run so far (per-layer
-  /// layout identical to FixedNetwork::stats()).
+  /// layout of FixedNetwork::make_stats()).
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_.reset(); }
 

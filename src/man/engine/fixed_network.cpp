@@ -240,11 +240,11 @@ FixedNetwork::FixedNetwork(man::nn::Network& network,
       stage.in = dense->in_features();
       stage.out = dense->out_features();
       stage.synapse.scheme = plan_.scheme(synapse_index++);
+      stage.synapse.name = dense->name();
       compile_synapse(stage.synapse, dense->weights(), dense->biases(),
                       static_cast<std::uint64_t>(stage.in) * stage.out,
                       stage.out);
       synapse_stage_indices_.push_back(stages_.size());
-      stats_.layers.push_back(LayerStats{dense->name(), 0, 0, {}});
       stages_.emplace_back(std::move(stage));
     } else if (auto* conv = dynamic_cast<man::nn::Conv2D*>(&layer)) {
       ConvStage stage;
@@ -256,12 +256,12 @@ FixedNetwork::FixedNetwork(man::nn::Network& network,
       stage.oh = conv->out_height();
       stage.ow = conv->out_width();
       stage.synapse.scheme = plan_.scheme(synapse_index++);
+      stage.synapse.name = conv->name();
       compile_synapse(stage.synapse, conv->weights(),
                       std::span<const float>(conv->biases().data(),
                                              conv->biases().size()),
                       conv->macs_per_inference(), stage.oc);
       synapse_stage_indices_.push_back(stages_.size());
-      stats_.layers.push_back(LayerStats{conv->name(), 0, 0, {}});
       stages_.emplace_back(std::move(stage));
     } else if (auto* pool = dynamic_cast<man::nn::AvgPool2D*>(&layer)) {
       PoolStage stage;
@@ -375,6 +375,7 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   const auto restore_synapse = [](SynapseData& syn,
                                   const CompiledSynapse& cs) {
     syn.scheme = cs.scheme;
+    syn.name = cs.name;
     // Banks are cheap deterministic functions of the alphabet set —
     // rebuilt here instead of serialized.
     syn.bank = man::core::PrecomputerBank(cs.scheme.effective_alphabets());
@@ -404,7 +405,6 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
       stage.plan_index = static_cast<int>(dense_count++);
       restore_synapse(stage.synapse, d->synapse);
       synapse_stage_indices_.push_back(stages_.size());
-      stats_.layers.push_back(LayerStats{d->synapse.name, 0, 0, {}});
       stages_.emplace_back(std::move(stage));
     } else if (const auto* c = std::get_if<CompiledConvStage>(&cs)) {
       if (conv_count >= conv_plans_.size()) {
@@ -431,7 +431,6 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
       stage.plan_index = static_cast<int>(conv_count++);
       restore_synapse(stage.synapse, c->synapse);
       synapse_stage_indices_.push_back(stages_.size());
-      stats_.layers.push_back(LayerStats{c->synapse.name, 0, 0, {}});
       stages_.emplace_back(std::move(stage));
     } else if (const auto* p = std::get_if<CompiledPoolStage>(&cs)) {
       PoolStage stage;
@@ -467,11 +466,10 @@ CompiledModel FixedNetwork::compiled_model() const {
   model.spec = spec_;
   model.lanes = lanes_;
   model.stages.reserve(stages_.size());
-  std::size_t synapse_counter = 0;
-  const auto export_synapse = [&](const SynapseData& syn) {
+  const auto export_synapse = [](const SynapseData& syn) {
     CompiledSynapse cs;
     cs.scheme = syn.scheme;
-    cs.name = stats_.layers[synapse_counter++].name;
+    cs.name = syn.name;
     cs.macs = syn.macs;
     cs.bank_activations = syn.bank_activations;
     cs.ops_per_inference = syn.ops_per_inference;
@@ -507,7 +505,6 @@ void FixedNetwork::compile_plan() {
 
   // The synapse runtime paths read only the plans from here on, so the
   // schedules move instead of copy — no weight is resident twice.
-  std::size_t synapse_index = 0;
   for (Stage& stage : stages_) {
     if (auto* dense = std::get_if<DenseStage>(&stage)) {
       SynapseData& syn = dense->synapse;
@@ -524,10 +521,8 @@ void FixedNetwork::compile_plan() {
             static_cast<int>(syn.bank.alphabet_set().size()),
             std::move(syn.asm_weights), std::move(syn.steps),
             std::move(syn.biases_raw)));
-        check_int32_bound(plans_.back(), syn.bank, max_abs_input,
-                          stats_.layers[synapse_index].name);
+        check_int32_bound(plans_.back(), syn.bank, max_abs_input, syn.name);
       }
-      ++synapse_index;
     } else if (auto* conv = std::get_if<ConvStage>(&stage)) {
       SynapseData& syn = conv->synapse;
       conv->plan_index = static_cast<int>(conv_plans_.size());
@@ -544,9 +539,8 @@ void FixedNetwork::compile_plan() {
             std::move(syn.asm_weights), std::move(syn.steps),
             std::move(syn.biases_raw)));
         check_int32_bound(conv_plans_.back(), syn.bank, max_abs_input,
-                          stats_.layers[synapse_index].name);
+                          syn.name);
       }
-      ++synapse_index;
       // One-shot register-blocking microbench: pick the vector
       // kernels' tile shapes for this geometry (construction is
       // single-threaded; the plan is immutable afterwards).
@@ -592,9 +586,9 @@ FixedNetwork::InferScratch FixedNetwork::make_scratch() const {
 
 EngineStats FixedNetwork::make_stats() const {
   EngineStats stats;
-  stats.layers.reserve(stats_.layers.size());
-  for (const LayerStats& layer : stats_.layers) {
-    stats.layers.push_back(LayerStats{layer.name, 0, 0, {}});
+  stats.layers.reserve(synapse_stage_indices_.size());
+  for (std::size_t idx : synapse_stage_indices_) {
+    stats.layers.push_back(LayerStats{synapse_at(idx).name, 0, 0, {}});
   }
   return stats;
 }
@@ -769,7 +763,7 @@ void FixedNetwork::prepare(EngineStats& stats, InferScratch& scratch) const {
   }
   if (!scratch_matches) scratch.caches = make_scratch().caches;
   if (stats.layers.empty()) stats = make_stats();
-  if (stats.layers.size() != stats_.layers.size()) {
+  if (stats.layers.size() != synapse_stage_indices_.size()) {
     throw std::invalid_argument(
         "FixedNetwork: stats layout mismatch; use make_stats()");
   }
@@ -960,36 +954,6 @@ void FixedNetwork::forward_tile(std::span<const float> inputs,
       outputs[b * output_size_ + r] = tile[r * n + b];
     }
   }
-}
-
-void FixedNetwork::infer_into(std::span<const float> pixels,
-                              std::span<std::int64_t> out,
-                              EngineStats& stats) const {
-  InferScratch scratch = make_scratch();
-  infer_into(pixels, out, stats, scratch);
-}
-
-std::vector<std::int64_t> FixedNetwork::forward_raw(
-    std::span<const float> pixels) {
-  std::vector<std::int64_t> out(output_size_);
-  infer_into(pixels, out, stats_);
-  return out;
-}
-
-int FixedNetwork::predict(std::span<const float> pixels) {
-  return argmax_raw(forward_raw(pixels));
-}
-
-double FixedNetwork::evaluate(std::span<const man::data::Example> examples) {
-  if (examples.empty()) return 0.0;
-  InferScratch scratch = make_scratch();
-  std::vector<std::int64_t> raw(output_size_);
-  std::size_t correct = 0;
-  for (const man::data::Example& ex : examples) {
-    infer_into(ex.pixels, raw, stats_, scratch);
-    if (argmax_raw(raw) == ex.label) ++correct;
-  }
-  return static_cast<double>(correct) / examples.size();
 }
 
 std::vector<std::uint64_t> FixedNetwork::macs_per_inference() const {

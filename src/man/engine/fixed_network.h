@@ -26,7 +26,6 @@
 #include "man/backend/kernel_backend.h"
 #include "man/core/activation.h"
 #include "man/core/precomputer_bank.h"
-#include "man/data/dataset.h"
 #include "man/engine/engine_stats.h"
 #include "man/engine/layer_alphabet_plan.h"
 #include "man/nn/network.h"
@@ -107,7 +106,9 @@ struct CompiledModel {
   std::vector<CompiledStage> stages;
 };
 
-/// Bit-accurate fixed-point inference engine.
+/// Bit-accurate fixed-point inference engine. Immutable once built:
+/// every forward pass is const and writes only the caller's stats and
+/// scratch (BatchRunner owns both for batched evaluation).
 class FixedNetwork {
  public:
   /// Compiles `network` under `spec` and `plan`. The plan must have
@@ -228,29 +229,6 @@ class FixedNetwork {
                         InferScratch& scratch,
                         const man::backend::KernelBackend& kernel) const;
 
-  /// Convenience overload with throwaway scratch (no cross-sample
-  /// bank reuse).
-  void infer_into(std::span<const float> pixels, std::span<std::int64_t> out,
-                  EngineStats& stats) const;
-
-  /// Final-layer raw accumulators for one image (thin wrapper over
-  /// infer_into, accumulating into the member stats).
-  [[nodiscard]] std::vector<std::int64_t> forward_raw(
-      std::span<const float> pixels);
-
-  /// Predicted class (argmax of the final accumulators).
-  [[nodiscard]] int predict(std::span<const float> pixels);
-  [[nodiscard]] int predict(const man::data::Example& example) {
-    return predict(example.pixels);
-  }
-
-  /// Top-1 accuracy over a split (accumulates activity stats).
-  [[nodiscard]] double evaluate(
-      std::span<const man::data::Example> examples);
-
-  [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_.reset(); }
-
   /// MACs per single inference, per synapse layer (static property).
   [[nodiscard]] std::vector<std::uint64_t> macs_per_inference() const;
 
@@ -283,6 +261,7 @@ class FixedNetwork {
   /// Shared machinery for dense and conv synapse stages.
   struct SynapseData {
     LayerScheme scheme;
+    std::string name;  ///< stats layer label (CompiledSynapse::name)
     std::vector<std::int32_t> weights_raw;  // quantized (+constrained)
     std::vector<std::int64_t> biases_raw;   // product scale
     // ASM compilation (empty for conventional scheme):
@@ -374,7 +353,6 @@ class FixedNetwork {
   /// none) and the synapse index of that stage.
   std::size_t tail_begin_ = 0;
   std::size_t tail_synapse_ = 0;
-  EngineStats stats_;
 };
 
 }  // namespace man::engine

@@ -33,30 +33,6 @@ InferenceResult make_rejection(Status status, std::string message,
 
 }  // namespace
 
-ServeConfig ServerOptions::to_config() const {
-  ServeConfig config;
-  config.max_batch = max_batch;
-  config.max_wait = max_wait;
-  config.workers = batch.workers;
-  config.min_samples_per_worker = batch.min_samples_per_worker;
-  config.backend = batch.backend;
-  config.pool = batch.pool;
-  // The legacy API had no admission control; keep its queue
-  // effectively unbounded (but still >= max_batch so validate()
-  // holds for huge legacy max_batch settings).
-  config.queue_capacity = std::max<std::size_t>(std::size_t{1} << 20,
-                                                max_batch);
-  return config;
-}
-
-void InferenceServer::Pending::deliver(InferenceResult&& result) {
-  if (callback) {
-    callback(std::move(result));
-  } else {
-    promise.set_value(std::move(result));
-  }
-}
-
 InferenceServer::InferenceServer(const man::engine::FixedNetwork& engine,
                                  ServeConfig config)
     : engine_(&engine), config_(std::move(config)) {
@@ -158,10 +134,6 @@ std::size_t InferenceServer::pick_tier(std::chrono::nanoseconds estimated_delay,
   return std::max(tier, floor_tier);
 }
 
-InferenceServer::InferenceServer(const man::engine::FixedNetwork& engine,
-                                 const ServerOptions& options)
-    : InferenceServer(engine, options.to_config()) {}
-
 InferenceServer::~InferenceServer() { shutdown(); }
 
 bool InferenceServer::try_enqueue(Pending&& pending,
@@ -199,42 +171,6 @@ bool InferenceServer::try_enqueue(Pending&& pending,
   return false;
 }
 
-std::future<InferenceResult> InferenceServer::submit(
-    InferenceRequest request) {
-  Pending pending;
-  std::future<InferenceResult> future = pending.promise.get_future();
-  const std::size_t in_size = engine_->input_size();
-
-  if (request.payload.empty() || request.payload.size() % in_size != 0) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      metrics_.rejected_bad_request += 1;
-    }
-    pending.promise.set_value(make_rejection(
-        Status::kBadRequest,
-        "payload of " + std::to_string(request.payload.size()) +
-            " floats is not a non-zero whole number of " +
-            std::to_string(in_size) + "-value samples"));
-    return future;
-  }
-
-  const auto now = Clock::now();
-  pending.count = request.payload.size() / in_size;
-  pending.pixels = std::move(request.payload);
-  pending.hard_deadline = request.deadline;
-  pending.flush_at = std::min(now + config_.max_wait, request.deadline);
-  pending.priority = request.priority;
-  pending.enqueued_at = now;
-
-  InferenceResult rejection;
-  if (!try_enqueue(std::move(pending), rejection)) {
-    std::promise<InferenceResult> rejected;
-    future = rejected.get_future();
-    rejected.set_value(std::move(rejection));
-  }
-  return future;
-}
-
 void InferenceServer::submit_async(InferenceRequest request,
                                    Callback callback) {
   const std::size_t in_size = engine_->input_size();
@@ -256,7 +192,10 @@ void InferenceServer::submit_async(InferenceRequest request,
   pending.count = request.payload.size() / in_size;
   pending.pixels = std::move(request.payload);
   pending.hard_deadline = request.deadline;
-  pending.flush_at = std::min(now + config_.max_wait, request.deadline);
+  // A deadline inside the co-batching window flushes now: waiting
+  // until the deadline itself would expire the request at dispatch.
+  const auto window_end = now + config_.max_wait;
+  pending.flush_at = request.deadline < window_end ? now : window_end;
   pending.priority = request.priority;
   pending.enqueued_at = now;
   pending.callback = std::move(callback);
@@ -270,48 +209,13 @@ void InferenceServer::submit_async(InferenceRequest request,
 }
 
 std::future<InferenceResult> InferenceServer::submit(
-    std::vector<float> pixels, Clock::time_point deadline) {
-  const std::size_t in_size = engine_->input_size();
-  if (pixels.empty()) {
-    throw std::invalid_argument("InferenceServer: empty request");
-  }
-  if (pixels.size() % in_size != 0) {
-    throw std::invalid_argument(
-        "InferenceServer: request of " + std::to_string(pixels.size()) +
-        " floats is not a whole number of " + std::to_string(in_size) +
-        "-pixel samples");
-  }
-
-  Pending pending;
-  const auto now = Clock::now();
-  pending.count = pixels.size() / in_size;
-  pending.pixels = std::move(pixels);
-  // Legacy semantics: the deadline is a flush hint only (an expired
-  // one means "flush now", the request is still served) — so it
-  // becomes flush_at and the hard deadline stays unset.
-  pending.flush_at = deadline;
-  pending.hard_deadline = Clock::time_point::max();
-  pending.enqueued_at = now;
-  std::future<InferenceResult> future = pending.promise.get_future();
-
-  InferenceResult rejection;
-  if (!try_enqueue(std::move(pending), rejection)) {
-    if (rejection.status == Status::kShutdown) {
-      throw std::runtime_error("InferenceServer: submit after shutdown");
-    }
-    // Overload on the legacy path (possible only with a deliberately
-    // tiny queue_capacity): resolve through the future, as the typed
-    // path does.
-    std::promise<InferenceResult> rejected;
-    future = rejected.get_future();
-    rejected.set_value(std::move(rejection));
-  }
+    InferenceRequest request) {
+  auto promise = std::make_shared<std::promise<InferenceResult>>();
+  std::future<InferenceResult> future = promise->get_future();
+  submit_async(std::move(request), [promise](InferenceResult&& result) {
+    promise->set_value(std::move(result));
+  });
   return future;
-}
-
-std::future<InferenceResult> InferenceServer::submit(
-    std::vector<float> pixels) {
-  return submit(std::move(pixels), Clock::now() + config_.max_wait);
 }
 
 void InferenceServer::shutdown() {
@@ -359,8 +263,8 @@ void InferenceServer::dispatch_loop() {
     // samples, when the earliest flush deadline among queued requests
     // arrives (one already in the past flushes immediately), or when
     // shutdown drains the queue. Flush deadlines need not be
-    // monotonic in arrival order (explicit deadlines and priority
-    // insertion both reorder), so scan the whole queue.
+    // monotonic in queue order (near-deadline requests flush at
+    // once, priority insertion reorders), so scan the whole queue.
     bool deadline_flush = false;
     while (!stopping_ && queued_samples_ < config_.max_batch) {
       Clock::time_point earliest = queue_.front().flush_at;
@@ -435,34 +339,40 @@ void InferenceServer::dispatch_loop() {
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               close_time - pending.enqueued_at)
               .count());
-      pending.deliver(std::move(result));
+      pending.callback(std::move(result));
     }
-    std::uint64_t batch_ns = 0;
-    if (!batch.empty()) {
-      const auto started = Clock::now();
-      run_batch(batch, total_samples, tier);
-      batch_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               started)
-              .count());
+    if (batch.empty()) {
+      lock.lock();
+      continue;
+    }
+    const auto started = Clock::now();
+    std::vector<InferenceResult> results =
+        run_batch(batch, total_samples, tier);
+    const auto batch_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             started)
+            .count());
+    lock.lock();
+    metrics_.tier_batches[tier] += 1;
+    metrics_.tier_samples[tier] += total_samples;
+    stats_snapshot_ = merged_runner_stats();
+    const std::uint64_t per_sample =
+        batch_ns / std::max<std::size_t>(total_samples, 1);
+    if (ewma_ns_per_sample_ == 0) ewma_ns_per_sample_ = per_sample;
+    ewma_ns_per_sample_ = (4 * ewma_ns_per_sample_ + per_sample) / 5;
+    // Deliver only once the batch shows in metrics() and stats(): a
+    // caller holding its result must find it counted.
+    lock.unlock();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].callback(std::move(results[i]));
     }
     lock.lock();
-    if (!batch.empty()) {
-      metrics_.tier_batches[tier] += 1;
-      metrics_.tier_samples[tier] += total_samples;
-      stats_snapshot_ = merged_runner_stats();
-      const std::uint64_t per_sample =
-          batch_ns / std::max<std::size_t>(total_samples, 1);
-      ewma_ns_per_sample_ =
-          ewma_ns_per_sample_ == 0
-              ? per_sample
-              : (4 * ewma_ns_per_sample_ + per_sample) / 5;
-    }
   }
 }
 
-void InferenceServer::run_batch(std::vector<Pending>& batch,
-                                std::size_t total_samples, std::size_t tier) {
+std::vector<InferenceResult> InferenceServer::run_batch(
+    const std::vector<Pending>& batch, std::size_t total_samples,
+    std::size_t tier) {
   TierRunner& rung = tiers_[tier];
   const std::size_t in_size = engine_->input_size();
   const std::size_t out_size = engine_->output_size();
@@ -474,35 +384,21 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
     inputs.insert(inputs.end(), pending.pixels.begin(), pending.pixels.end());
   }
 
+  std::vector<InferenceResult> results;
   std::vector<std::int64_t> raw(total_samples * out_size);
   try {
     rung.runner->run(inputs, raw);
   } catch (const std::exception& error) {
     // An engine failure is not expressible as a per-request Status
-    // beyond "cannot serve": promise holders get the exception (the
-    // legacy contract), callback holders a kShutdown result carrying
-    // the reason.
-    const std::exception_ptr eptr = std::current_exception();
-    for (Pending& pending : batch) {
-      if (pending.callback) {
-        pending.callback(
-            make_rejection(Status::kShutdown,
-                           std::string("engine error: ") + error.what()));
-      } else {
-        pending.promise.set_exception(eptr);
-      }
-    }
-    return;
+    // beyond "cannot serve": every request gets a kShutdown result
+    // carrying the reason.
+    const std::string reason = std::string("engine error: ") + error.what();
+    results.assign(batch.size(), make_rejection(Status::kShutdown, reason));
+    return results;
   } catch (...) {
-    const std::exception_ptr eptr = std::current_exception();
-    for (Pending& pending : batch) {
-      if (pending.callback) {
-        pending.callback(make_rejection(Status::kShutdown, "engine error"));
-      } else {
-        pending.promise.set_exception(eptr);
-      }
-    }
-    return;
+    results.assign(batch.size(),
+                   make_rejection(Status::kShutdown, "engine error"));
+    return results;
   }
 
   const std::uint64_t compute_ns = static_cast<std::uint64_t>(
@@ -510,8 +406,9 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
                                                            started)
           .count());
 
+  results.reserve(batch.size());
   std::size_t sample_offset = 0;
-  for (Pending& pending : batch) {
+  for (const Pending& pending : batch) {
     InferenceResult result;
     result.status = Status::kOk;
     result.samples = pending.count;
@@ -536,8 +433,9 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
     result.tier = tier;
     result.tier_name = rung.spec.name;
     sample_offset += pending.count;
-    pending.deliver(std::move(result));
+    results.push_back(std::move(result));
   }
+  return results;
 }
 
 }  // namespace man::serve

@@ -1,4 +1,4 @@
-// Async serving front-end over the batched fixed-point runtime, now
+// Async serving front-end over the batched fixed-point runtime,
 // speaking the typed request/response API (serve_types.h): submit()
 // takes an InferenceRequest{payload, deadline, priority} and resolves
 // an InferenceResult whose Status can express success, an exceeded
@@ -38,20 +38,6 @@
 #include "man/serve/serve_types.h"
 
 namespace man::serve {
-
-/// DEPRECATED legacy knobs, kept so pre-typed-API call sites compile;
-/// new code passes ServeConfig. The nested BatchOptions duplication
-/// (workers/pool/backend one level removed from the batching knobs)
-/// is exactly what ServeConfig flattened away.
-struct ServerOptions {
-  std::size_t max_batch = 64;
-  std::chrono::microseconds max_wait{500};
-  man::engine::BatchOptions batch;
-
-  /// The equivalent consolidated config (admission-control fields at
-  /// their defaults, matching the legacy unbounded-ish behaviour).
-  [[nodiscard]] ServeConfig to_config() const;
-};
 
 /// Deadline-aware micro-batching front-end for one compiled engine —
 /// or, given a TieredEngine, for a ladder of precision variants of
@@ -113,47 +99,27 @@ class InferenceServer {
   /// The server keeps the tier engines alive (shared ownership).
   InferenceServer(TieredEngine tiered, ServeConfig config);
 
-  /// DEPRECATED: legacy-options constructor (and the default), kept
-  /// for pre-typed-API call sites.
-  explicit InferenceServer(const man::engine::FixedNetwork& engine,
-                           const ServerOptions& options = {});
-
   /// Graceful: drains every accepted request, then stops.
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Typed submit: never throws for per-request conditions — the
-  /// returned future resolves with the Status instead (kBadRequest
-  /// for an empty/ragged payload, kRejectedOverload when the bounded
-  /// queue is full, kShutdown after shutdown(), kDeadlineExceeded if
+  /// Queues `request` and calls `callback` with its result. Never
+  /// throws for per-request conditions — the result carries the
+  /// Status instead (kBadRequest for an empty/ragged payload,
+  /// kRejectedOverload when the bounded queue is full, kShutdown
+  /// after shutdown() or when the engine fails, kDeadlineExceeded if
   /// the hard deadline passes before compute starts, else kOk with
   /// payload fields bit-identical to the sequential engine path).
-  std::future<InferenceResult> submit(InferenceRequest request);
-
-  /// Callback flavour of the typed submit, for completion-driven
-  /// callers (the HTTP front-end's epoll loop must not block on
-  /// futures). Same Status semantics as submit().
+  /// The request waits up to max_wait for co-batching; one whose
+  /// deadline falls inside that window flushes the queue at once.
+  /// The HTTP front-end's epoll loop uses this flavour: it must not
+  /// block on futures.
   void submit_async(InferenceRequest request, Callback callback);
 
-  /// DEPRECATED legacy submit: `deadline` is a co-batching hint only
-  /// (an expired one means "flush now" — the request is still
-  /// served), and malformed payloads / post-shutdown submits throw
-  /// (std::invalid_argument / std::runtime_error) as they always did.
-  std::future<InferenceResult> submit(std::vector<float> pixels,
-                                      Clock::time_point deadline);
-
-  /// Same, with the default co-batching deadline now + max_wait.
-  std::future<InferenceResult> submit(std::vector<float> pixels);
-
-  /// Braced-list flavour of the legacy submit. Also what keeps
-  /// `submit({})` unambiguous (and throwing, as it always did) now
-  /// that the typed InferenceRequest overload exists: in list-init
-  /// contexts an initializer_list parameter outranks both.
-  std::future<InferenceResult> submit(std::initializer_list<float> pixels) {
-    return submit(std::vector<float>(pixels));
-  }
+  /// Future flavour of submit_async(), same semantics.
+  std::future<InferenceResult> submit(InferenceRequest request);
 
   /// Stops accepting requests, serves everything already queued, and
   /// joins the dispatcher. Idempotent; also run by the destructor.
@@ -204,17 +170,13 @@ class InferenceServer {
   struct Pending {
     std::vector<float> pixels;
     std::size_t count = 0;
-    /// Co-batching flush trigger (≤ hard_deadline on the typed path).
+    /// Co-batching flush trigger: enqueue time + max_wait, or the
+    /// enqueue time itself when hard_deadline comes sooner.
     Clock::time_point flush_at;
-    /// Typed-path hard deadline; time_point::max() on the legacy
-    /// path, whose deadline was only ever a flush hint.
     Clock::time_point hard_deadline;
     int priority = 0;
     Clock::time_point enqueued_at;
-    std::promise<InferenceResult> promise;
-    Callback callback;  ///< when set, promise is unused
-
-    void deliver(InferenceResult&& result);
+    Callback callback;
   };
 
   /// Shared admission path. Returns true if the request was queued;
@@ -244,8 +206,11 @@ class InferenceServer {
   [[nodiscard]] man::engine::EngineStats merged_runner_stats() const;
 
   void dispatch_loop();
-  void run_batch(std::vector<Pending>& batch, std::size_t total_samples,
-                 std::size_t tier);
+  /// Computes one micro-batch on `tier`: one result per request, in
+  /// batch order (kShutdown for all when the engine fails).
+  [[nodiscard]] std::vector<InferenceResult> run_batch(
+      const std::vector<Pending>& batch, std::size_t total_samples,
+      std::size_t tier);
   [[nodiscard]] std::chrono::nanoseconds estimated_delay_locked()
       const noexcept;
 

@@ -3,9 +3,8 @@
 // 1:1 onto wire status codes), a typed InferenceRequest carrying the
 // payload plus per-request deadline and priority, a typed
 // InferenceResult that can express rejection and overload — not just
-// success — and one consolidated ServeConfig replacing the knobs that
-// were previously split (and partly duplicated) across ServerOptions
-// and BatchOptions.
+// success — and one consolidated ServeConfig holding every serving
+// knob.
 #ifndef MAN_SERVE_SERVE_TYPES_H
 #define MAN_SERVE_SERVE_TYPES_H
 
@@ -92,8 +91,9 @@ struct InferenceRequest {
   /// count × input_size floats, never split across micro-batches.
   std::vector<float> payload;
   /// Hard deadline: if compute has not *started* by this instant the
-  /// request resolves kDeadlineExceeded instead of being served. Also
-  /// bounds the co-batching wait (a near deadline flushes early).
+  /// request resolves kDeadlineExceeded instead of being served. A
+  /// deadline sooner than ServeConfig::max_wait from submission skips
+  /// the co-batching wait: the queue flushes at once.
   /// time_point::max() (the default) means "no deadline".
   Clock::time_point deadline = Clock::time_point::max();
   /// Scheduling hint: higher-priority requests are queued ahead of
@@ -136,15 +136,14 @@ struct InferenceResult {
 
 /// Every serving knob in one composable config: micro-batching,
 /// worker pool, kernel backend, and the admission-control bounds the
-/// HTTP front-end enforces. Replaces the ServerOptions/BatchOptions
-/// split where workers/backend/pool lived one level removed from the
-/// batching knobs they interact with.
+/// HTTP front-end enforces.
 struct ServeConfig {
   // --- micro-batching -------------------------------------------------
   /// Flush threshold in samples (oversized requests still dispatch
   /// whole; they are never split).
   std::size_t max_batch = 64;
-  /// Default co-batching wait for requests without a deadline.
+  /// Co-batching wait: how long a request may queue for company
+  /// before its batch flushes (unless its deadline comes sooner).
   std::chrono::microseconds max_wait{500};
 
   // --- execution ------------------------------------------------------

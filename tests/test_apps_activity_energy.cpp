@@ -14,6 +14,7 @@ namespace man::apps {
 namespace {
 
 using man::core::AlphabetSet;
+using man::engine::EngineStats;
 using man::engine::FixedNetwork;
 using man::engine::LayerAlphabetPlan;
 using man::nn::ProjectionPlan;
@@ -34,6 +35,14 @@ std::vector<float> pixels(man::util::Rng& rng, std::size_t n = 32) {
   return p;
 }
 
+// One forward pass of `image`, accumulating its activity into `stats`.
+void infer(const FixedNetwork& engine, std::span<const float> image,
+           EngineStats& stats) {
+  std::vector<std::int64_t> raw(engine.output_size());
+  auto scratch = engine.make_scratch();
+  engine.infer_into(image, raw, stats, scratch);
+}
+
 FixedNetwork engine_for(man::nn::Network& net, const AlphabetSet& set) {
   const QuantSpec spec = QuantSpec::bits8();
   const ProjectionPlan plan(spec, set, 2);
@@ -44,8 +53,8 @@ FixedNetwork engine_for(man::nn::Network& net, const AlphabetSet& set) {
 TEST(ActivityEnergy, ZeroWithoutInferences) {
   man::nn::Network net = make_net(1);
   FixedNetwork engine = engine_for(net, AlphabetSet::man());
-  const auto report = energy_from_activity(
-      engine.stats(), engine.plan(), 8);
+  const auto report =
+      energy_from_activity(engine.make_stats(), engine.plan(), 8);
   EXPECT_EQ(report.total_pj, 0.0);
   EXPECT_EQ(report.per_inference_pj(), 0.0);
 }
@@ -55,11 +64,11 @@ TEST(ActivityEnergy, ScalesLinearlyWithInferences) {
   FixedNetwork engine = engine_for(net, AlphabetSet::two());
   man::util::Rng rng(3);
   const auto image = pixels(rng);
-  (void)engine.predict(image);
-  const double one = energy_from_activity(engine.stats(), engine.plan(), 8)
-                         .total_pj;
-  for (int i = 0; i < 9; ++i) (void)engine.predict(image);
-  const auto report = energy_from_activity(engine.stats(), engine.plan(), 8);
+  auto stats = engine.make_stats();
+  infer(engine, image, stats);
+  const double one = energy_from_activity(stats, engine.plan(), 8).total_pj;
+  for (int i = 0; i < 9; ++i) infer(engine, image, stats);
+  const auto report = energy_from_activity(stats, engine.plan(), 8);
   EXPECT_NEAR(report.total_pj, 10.0 * one, 1e-9);
   EXPECT_NEAR(report.per_inference_pj(), one, 1e-9);
   EXPECT_EQ(report.inferences, 10u);
@@ -72,17 +81,16 @@ TEST(ActivityEnergy, MoreAlphabetsCostMorePerInference) {
   for (std::size_t n : {1u, 2u, 4u, 8u}) {
     man::nn::Network net = make_net(5);
     FixedNetwork engine = engine_for(net, AlphabetSet::first_n(n));
-    (void)engine.predict(image);
+    auto stats = engine.make_stats();
+    infer(engine, image, stats);
     const double energy =
-        energy_from_activity(engine.stats(), engine.plan(), 8)
-            .per_inference_pj();
+        energy_from_activity(stats, engine.plan(), 8).per_inference_pj();
     // Richer sets fire more pre-computer adders per input; the select
     // muxes widen too. (Select/shift step counts can shrink slightly,
     // so require growth only of the bank+select share.)
     if (n > 1) EXPECT_GT(energy, 0.0);
     if (n == 1) {
-      const auto report =
-          energy_from_activity(engine.stats(), engine.plan(), 8);
+      const auto report = energy_from_activity(stats, engine.plan(), 8);
       for (const auto& layer : report.layers) {
         EXPECT_EQ(layer.precomputer_pj, 0.0);  // MAN has no bank
         EXPECT_EQ(layer.select_pj, 0.0);       // ... and no selects
@@ -97,8 +105,9 @@ TEST(ActivityEnergy, BreakdownSumsToTotal) {
   man::nn::Network net = make_net(6);
   FixedNetwork engine = engine_for(net, AlphabetSet::four());
   man::util::Rng rng(7);
-  (void)engine.predict(pixels(rng));
-  const auto report = energy_from_activity(engine.stats(), engine.plan(), 8);
+  auto stats = engine.make_stats();
+  infer(engine, pixels(rng), stats);
+  const auto report = energy_from_activity(stats, engine.plan(), 8);
   double sum = 0.0;
   for (const auto& layer : report.layers) sum += layer.total_pj();
   EXPECT_NEAR(sum, report.total_pj, 1e-9);
@@ -112,7 +121,7 @@ TEST(ActivityEnergy, RejectsMismatchedPlan) {
   FixedNetwork engine = engine_for(net, AlphabetSet::man());
   const LayerAlphabetPlan wrong = LayerAlphabetPlan::conventional(3);
   EXPECT_THROW(
-      (void)energy_from_activity(engine.stats(), wrong, 8),
+      (void)energy_from_activity(engine.make_stats(), wrong, 8),
       std::invalid_argument);
 }
 
@@ -126,8 +135,9 @@ TEST(ActivityEnergy, DataDependentGating) {
   FixedNetwork engine(net, QuantSpec::bits8(),
                       LayerAlphabetPlan::uniform_asm(1, AlphabetSet::man()));
   man::util::Rng rng(9);
-  (void)engine.predict(pixels(rng, 8));
-  const auto report = energy_from_activity(engine.stats(), engine.plan(), 8);
+  auto stats = engine.make_stats();
+  infer(engine, pixels(rng, 8), stats);
+  const auto report = energy_from_activity(stats, engine.plan(), 8);
   ASSERT_EQ(report.layers.size(), 1u);
   EXPECT_EQ(report.layers[0].shift_pj, 0.0);
   EXPECT_EQ(report.layers[0].sign_pj, 0.0);

@@ -81,7 +81,10 @@ TEST(CrossValidation, EngineDenseMatchesNeuronModel) {
       net, spec, man::engine::LayerAlphabetPlan::uniform_asm(1, set));
   std::vector<float> pixels(in);
   for (float& p : pixels) p = static_cast<float>(rng.next_double());
-  const auto engine_raw = engine.forward_raw(pixels);
+  std::vector<std::int64_t> engine_raw(engine.output_size());
+  auto stats = engine.make_stats();
+  auto scratch = engine.make_scratch();
+  engine.infer_into(pixels, engine_raw, stats, scratch);
 
   // Reference path: per-neuron evaluation with the scalar model.
   const auto& wfmt = spec.weight_format;

@@ -75,6 +75,30 @@ std::vector<Example> random_examples(std::size_t samples,
   return examples;
 }
 
+// Sequential reference: each sample alone through infer_into with a
+// fresh scratch (no cross-sample CSHM reuse), activity into `stats`.
+std::vector<std::int64_t> sequential_raw(const FixedNetwork& engine,
+                                         std::span<const float> batch,
+                                         EngineStats& stats) {
+  const std::size_t in = engine.input_size();
+  const std::size_t out = engine.output_size();
+  const std::size_t samples = batch.size() / in;
+  std::vector<std::int64_t> raw(samples * out);
+  for (std::size_t i = 0; i < samples; ++i) {
+    auto scratch = engine.make_scratch();
+    engine.infer_into(batch.subspan(i * in, in),
+                      std::span<std::int64_t>(raw).subspan(i * out, out),
+                      stats, scratch);
+  }
+  return raw;
+}
+
+std::vector<std::int64_t> sequential_raw(const FixedNetwork& engine,
+                                         std::span<const float> batch) {
+  auto stats = engine.make_stats();
+  return sequential_raw(engine, batch, stats);
+}
+
 void expect_stats_eq(const EngineStats& a, const EngineStats& b) {
   EXPECT_EQ(a.inferences, b.inferences);
   ASSERT_EQ(a.layers.size(), b.layers.size());
@@ -110,14 +134,7 @@ TEST_P(BatchedSchemeIdentity, BatchMatchesSequentialBitForBit) {
   const std::size_t samples = 33;  // not a multiple of the pool size
   const auto batch = random_batch(samples, engine.input_size(), 42);
 
-  // Sequential reference through the single-sample wrapper.
-  std::vector<std::int64_t> expected;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const auto raw = engine.forward_raw(
-        std::span<const float>(batch).subspan(i * engine.input_size(),
-                                              engine.input_size()));
-    expected.insert(expected.end(), raw.begin(), raw.end());
-  }
+  const auto expected = sequential_raw(engine, batch);
 
   BatchRunner runner(engine, BatchOptions{.workers = 4});
   std::vector<std::int64_t> actual(samples * engine.output_size());
@@ -141,13 +158,7 @@ TEST(BatchRunner, CnnBatchMatchesSequential) {
   const std::size_t samples = 9;
   const auto batch = random_batch(samples, engine.input_size(), 7);
 
-  std::vector<std::int64_t> expected;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const auto raw = engine.forward_raw(
-        std::span<const float>(batch).subspan(i * engine.input_size(),
-                                              engine.input_size()));
-    expected.insert(expected.end(), raw.begin(), raw.end());
-  }
+  const auto expected = sequential_raw(engine, batch);
 
   BatchRunner runner(engine, BatchOptions{.workers = 3,
                                           .min_samples_per_worker = 1});
@@ -168,20 +179,15 @@ TEST(BatchRunner, MergedStatsEqualSequentialSum) {
   const std::size_t samples = 25;
   const auto batch = random_batch(samples, engine.input_size(), 3);
 
-  // Sequential run accumulates into the engine's member stats.
-  engine.reset_stats();
-  for (std::size_t i = 0; i < samples; ++i) {
-    (void)engine.forward_raw(
-        std::span<const float>(batch).subspan(i * engine.input_size(),
-                                              engine.input_size()));
-  }
+  auto sequential = engine.make_stats();
+  (void)sequential_raw(engine, batch, sequential);
 
   BatchRunner runner(engine, BatchOptions{.workers = 4,
                                           .min_samples_per_worker = 2});
   std::vector<std::int64_t> raw(samples * engine.output_size());
   runner.run(batch, raw);
 
-  expect_stats_eq(runner.stats(), engine.stats());
+  expect_stats_eq(runner.stats(), sequential);
   EXPECT_EQ(runner.stats().inferences, samples);
 }
 
@@ -214,24 +220,27 @@ TEST(BatchRunner, DeterministicAcrossWorkerCounts) {
   }
 }
 
-// The Example-based evaluation path agrees with the engine's own.
+// The Example-based evaluation path agrees with per-sample argmax
+// over the sequential reference.
 TEST(BatchRunner, EvaluateMatchesSequentialEvaluate) {
   const QuantSpec spec = QuantSpec::bits8();
   Network net = make_mlp(88);
   FixedNetwork engine(net, spec, LayerAlphabetPlan::conventional(2));
 
   const auto examples = random_examples(30, engine.input_size(), 4, 5);
-  const double sequential = engine.evaluate(examples);
+  std::vector<int> expected;
+  std::size_t correct = 0;
+  for (const Example& ex : examples) {
+    expected.push_back(argmax_raw(sequential_raw(engine, ex.pixels)));
+    if (expected.back() == ex.label) ++correct;
+  }
 
   BatchRunner runner(engine, BatchOptions{.workers = 4,
                                           .min_samples_per_worker = 1});
   const BatchAccuracy batched = runner.evaluate(examples);
-  EXPECT_DOUBLE_EQ(batched.accuracy, sequential);
-  ASSERT_EQ(batched.predictions.size(), examples.size());
-  for (std::size_t i = 0; i < examples.size(); ++i) {
-    // Spot-check each prediction against the single-sample API.
-    EXPECT_EQ(batched.predictions[i], engine.predict(examples[i]));
-  }
+  EXPECT_DOUBLE_EQ(batched.accuracy,
+                   static_cast<double>(correct) / examples.size());
+  EXPECT_EQ(batched.predictions, expected);
 }
 
 // A scratch made by one engine must not leak its bank multiples into
@@ -250,7 +259,7 @@ TEST(FixedNetwork, WrongEngineScratchIsRebound) {
       net_b, spec, LayerAlphabetPlan::uniform_asm(2, AlphabetSet::four()));
 
   const auto batch = random_batch(1, engine_b.input_size(), 17);
-  const auto expected = engine_b.forward_raw(batch);
+  const auto expected = sequential_raw(engine_b, batch);
 
   FixedNetwork::InferScratch scratch = engine_a.make_scratch();
   EngineStats stats = engine_b.make_stats();

@@ -1,10 +1,12 @@
 // The fixed-point processing engine: bit-exactness of the ASM datapath
 // against the conventional one on constrained weights, plan handling,
-// activity statistics, and the average-pooling rounding rule.
+// activity statistics, the stats/scratch binding of infer_into, and
+// the average-pooling rounding rule.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "man/engine/batch_runner.h"
 #include "man/engine/fixed_network.h"
 #include "man/nn/activation_layer.h"
 #include "man/nn/conv2d.h"
@@ -53,6 +55,22 @@ std::vector<float> random_pixels(std::size_t n, man::util::Rng& rng) {
   return pixels;
 }
 
+// One image through infer_into, accumulating into `stats`.
+std::vector<std::int64_t> raw_outputs(const FixedNetwork& engine,
+                                      std::span<const float> pixels,
+                                      EngineStats& stats) {
+  std::vector<std::int64_t> out(engine.output_size());
+  auto scratch = engine.make_scratch();
+  engine.infer_into(pixels, out, stats, scratch);
+  return out;
+}
+
+std::vector<std::int64_t> raw_outputs(const FixedNetwork& engine,
+                                      std::span<const float> pixels) {
+  auto stats = engine.make_stats();
+  return raw_outputs(engine, pixels, stats);
+}
+
 // THE core engine property: with weights projected to an alphabet set,
 // the ASM engine and the conventional engine are BIT-IDENTICAL — all
 // approximation lives in the projection, none in the datapath.
@@ -78,7 +96,7 @@ TEST_P(DatapathEquivalence, AsmMatchesExactOnProjectedWeights) {
   man::util::Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const auto pixels = random_pixels(16, rng);
-    EXPECT_EQ(exact.forward_raw(pixels), asm_engine.forward_raw(pixels))
+    EXPECT_EQ(raw_outputs(exact, pixels), raw_outputs(asm_engine, pixels))
         << "bits=" << bits << " n=" << n_alphabets;
   }
 }
@@ -99,7 +117,7 @@ TEST(FixedNetwork, FullSetNeedsNoProjection) {
   man::util::Rng rng(8);
   for (int trial = 0; trial < 20; ++trial) {
     const auto pixels = random_pixels(16, rng);
-    EXPECT_EQ(exact.forward_raw(pixels), full.forward_raw(pixels));
+    EXPECT_EQ(raw_outputs(exact, pixels), raw_outputs(full, pixels));
   }
 }
 
@@ -115,7 +133,7 @@ TEST(FixedNetwork, CnnPathsAgreeToo) {
   man::util::Rng rng(9);
   for (int trial = 0; trial < 5; ++trial) {
     const auto pixels = random_pixels(64, rng);
-    EXPECT_EQ(exact.forward_raw(pixels), asm_engine.forward_raw(pixels));
+    EXPECT_EQ(raw_outputs(exact, pixels), raw_outputs(asm_engine, pixels));
   }
 }
 
@@ -135,7 +153,7 @@ TEST(FixedNetwork, MixedPlanAppliesPerLayer) {
   FixedNetwork mixed_engine(net, spec, mixed);
   man::util::Rng rng(10);
   const auto pixels = random_pixels(16, rng);
-  EXPECT_EQ(exact.forward_raw(pixels), mixed_engine.forward_raw(pixels));
+  EXPECT_EQ(raw_outputs(exact, pixels), raw_outputs(mixed_engine, pixels));
 }
 
 TEST(FixedNetwork, PlanSizeMustMatchNetwork) {
@@ -154,9 +172,9 @@ TEST(FixedNetwork, StatsCountMacsAndBankActivations) {
                       LayerAlphabetPlan::uniform_asm(2, AlphabetSet::two()),
                       /*lanes=*/4);
   man::util::Rng rng(11);
-  (void)engine.predict(random_pixels(16, rng));
+  auto stats = engine.make_stats();
+  (void)raw_outputs(engine, random_pixels(16, rng), stats);
 
-  const EngineStats& stats = engine.stats();
   EXPECT_EQ(stats.inferences, 1u);
   ASSERT_EQ(stats.layers.size(), 2u);
   EXPECT_EQ(stats.layers[0].macs, 16u * 8);
@@ -170,9 +188,9 @@ TEST(FixedNetwork, StatsCountMacsAndBankActivations) {
   EXPECT_EQ(stats.layers[0].ops.precomputer_adds, 32u);
   EXPECT_GT(stats.layers[0].ops.selects, 0u);
 
-  engine.reset_stats();
-  EXPECT_EQ(engine.stats().inferences, 0u);
-  EXPECT_EQ(engine.stats().total_macs(), 0u);
+  stats.reset();
+  EXPECT_EQ(stats.inferences, 0u);
+  EXPECT_EQ(stats.total_macs(), 0u);
 }
 
 TEST(FixedNetwork, ConventionalEngineHasNoBankActivity) {
@@ -180,10 +198,11 @@ TEST(FixedNetwork, ConventionalEngineHasNoBankActivity) {
   FixedNetwork engine(net, QuantSpec::bits8(),
                       LayerAlphabetPlan::conventional(2));
   man::util::Rng rng(12);
-  (void)engine.predict(random_pixels(16, rng));
-  EXPECT_EQ(engine.stats().layers[0].bank_activations, 0u);
-  EXPECT_EQ(engine.stats().layers[0].ops.selects, 0u);
-  EXPECT_GT(engine.stats().layers[0].ops.adds, 0u);  // accumulator adds
+  auto stats = engine.make_stats();
+  (void)raw_outputs(engine, random_pixels(16, rng), stats);
+  EXPECT_EQ(stats.layers[0].bank_activations, 0u);
+  EXPECT_EQ(stats.layers[0].ops.selects, 0u);
+  EXPECT_GT(stats.layers[0].ops.adds, 0u);  // accumulator adds
 }
 
 // Conv stages must price select/shift/add activity exactly like the
@@ -201,7 +220,8 @@ TEST(FixedNetwork, ConvLayerStatsPriceTheCompiledSchedule) {
                       LayerAlphabetPlan::uniform_asm(2, set));
 
   man::util::Rng rng(19);
-  (void)engine.predict(random_pixels(engine.input_size(), rng));
+  auto stats = engine.make_stats();
+  (void)raw_outputs(engine, random_pixels(engine.input_size(), rng), stats);
 
   const auto& conv_plan = engine.conv_plans().at(0);
   const std::uint64_t positions = conv_plan.positions();
@@ -224,7 +244,7 @@ TEST(FixedNetwork, ConvLayerStatsPriceTheCompiledSchedule) {
       bank_activations * static_cast<std::uint64_t>(
                              man::core::PrecomputerBank(set).adder_count());
 
-  const LayerStats& conv_stats = engine.stats().layers.at(0);
+  const LayerStats& conv_stats = stats.layers.at(0);
   EXPECT_EQ(conv_stats.macs, macs);
   EXPECT_EQ(conv_stats.bank_activations, bank_activations);
   EXPECT_EQ(conv_stats.ops.selects, expected.selects);
@@ -256,10 +276,11 @@ TEST(FixedNetwork, EvaluateComputesAccuracy) {
   for (int i = 0; i < 10; ++i) {
     Example ex;
     ex.pixels = random_pixels(4, rng);
-    ex.label = engine.predict(ex.pixels);
+    ex.label = argmax_raw(raw_outputs(engine, ex.pixels));
     examples.push_back(ex);
   }
-  EXPECT_EQ(engine.evaluate(examples), 1.0);
+  BatchRunner runner(engine);
+  EXPECT_EQ(runner.evaluate(examples).accuracy, 1.0);
 }
 
 TEST(FixedNetwork, RejectsWrongInputSize) {
@@ -267,7 +288,59 @@ TEST(FixedNetwork, RejectsWrongInputSize) {
   FixedNetwork engine(net, QuantSpec::bits8(),
                       LayerAlphabetPlan::conventional(2));
   const std::vector<float> too_small(7, 0.5f);
-  EXPECT_THROW((void)engine.predict(too_small), std::invalid_argument);
+  EXPECT_THROW((void)raw_outputs(engine, too_small), std::invalid_argument);
+}
+
+// infer_into binds caller-owned stats to the engine's layer layout:
+// stats shaped by another engine (a different synapse count) are
+// rejected on both forward paths.
+TEST(FixedNetwork, RejectsStatsFromAnotherEngine) {
+  Network mlp = make_mlp(66);  // 2 synapse layers
+  Network single;
+  single.add<Dense>(16, 4);  // 1 synapse layer
+  const FixedNetwork engine(mlp, QuantSpec::bits8(),
+                            LayerAlphabetPlan::conventional(2));
+  const FixedNetwork other(single, QuantSpec::bits8(),
+                           LayerAlphabetPlan::conventional(1));
+
+  man::util::Rng rng(14);
+  const auto pixels = random_pixels(16, rng);
+  auto foreign = other.make_stats();
+  EXPECT_THROW((void)raw_outputs(engine, pixels, foreign),
+               std::invalid_argument);
+  std::vector<std::int64_t> raw(engine.output_size());
+  auto scratch = engine.make_scratch();
+  EXPECT_THROW(engine.infer_batch_into(pixels, raw, foreign, scratch,
+                                       engine.default_kernel()),
+               std::invalid_argument);
+  EXPECT_EQ(foreign.inferences, 0u);
+}
+
+// A default-constructed EngineStats (and scratch) is sized on first
+// use with this engine's synapse layer names, in stage order.
+TEST(FixedNetwork, SizesDefaultStatsWithLayerNames) {
+  Network net = make_mlp(67);
+  const FixedNetwork engine(
+      net, QuantSpec::bits8(),
+      LayerAlphabetPlan::uniform_asm(2, AlphabetSet::full()));
+  man::util::Rng rng(15);
+  const auto pixels = random_pixels(16, rng);
+
+  EngineStats stats;
+  FixedNetwork::InferScratch scratch;
+  std::vector<std::int64_t> raw(engine.output_size());
+  engine.infer_into(pixels, raw, stats, scratch);
+
+  ASSERT_EQ(stats.layers.size(), 2u);
+  EXPECT_EQ(stats.layers[0].name, net.layer(0).name());
+  EXPECT_EQ(stats.layers[1].name, net.layer(2).name());
+  EXPECT_EQ(stats.inferences, 1u);
+  EXPECT_EQ(stats.layers[0].macs, 16u * 8);
+  EXPECT_EQ(raw, raw_outputs(engine, pixels));
+  const EngineStats shape = engine.make_stats();
+  ASSERT_EQ(shape.layers.size(), 2u);
+  EXPECT_EQ(shape.layers[0].name, stats.layers[0].name);
+  EXPECT_EQ(shape.layers[1].name, stats.layers[1].name);
 }
 
 // Test-local image of the engine's average-pooling rule: each
@@ -308,7 +381,7 @@ void expect_pool_matches_reference(int c, int ih, int iw, int window,
     std::vector<std::int64_t> raw;
     for (float p : image) raw.push_back(spec.activation_format.quantize(p));
     const auto want = reference_pool(raw, c, ih, iw, window);
-    ASSERT_EQ(engine.forward_raw(image), want) << "window " << window;
+    ASSERT_EQ(raw_outputs(engine, image), want) << "window " << window;
     batch.insert(batch.end(), image.begin(), image.end());
     expected.insert(expected.end(), want.begin(), want.end());
   }

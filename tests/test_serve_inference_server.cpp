@@ -1,10 +1,12 @@
-// The serving front-end: deadline and queue edge cases (expired
-// deadline, oversized request, empty input, shutdown drain) and the
-// acceptance property — server responses bit-identical to sequential
-// FixedNetwork::infer_into for interleaved mixed-model traffic from
-// concurrent clients, at any worker count.
+// The serving front-end: flush and queue edge cases (size flush,
+// max_wait flush, a near deadline deep in the queue, oversized
+// request, shutdown drain) and the acceptance property — server
+// responses bit-identical to sequential FixedNetwork::infer_into for
+// interleaved mixed-model traffic from concurrent clients, at any
+// worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -81,55 +83,47 @@ std::vector<std::int64_t> sequential_raw(const FixedNetwork& engine,
   return raw;
 }
 
+/// Typed request for `pixels` (no deadline unless given).
+std::future<InferenceResult> submit_pixels(
+    InferenceServer& server, std::vector<float> pixels,
+    InferenceRequest::Clock::time_point deadline =
+        InferenceRequest::Clock::time_point::max()) {
+  InferenceRequest request;
+  request.payload = std::move(pixels);
+  request.deadline = deadline;
+  return server.submit(std::move(request));
+}
+
+/// A config whose only flush triggers are `max_batch` samples and the
+/// `max_wait` timer (queue sized to hold a full batch).
+ServeConfig batching_config(std::size_t max_batch,
+                            std::chrono::microseconds max_wait) {
+  ServeConfig config;
+  config.max_batch = max_batch;
+  config.max_wait = max_wait;
+  config.queue_capacity = std::max(config.queue_capacity, max_batch);
+  return config;
+}
+
 TEST(InferenceServer, RejectsInvalidOptions) {
   const FixedNetwork engine = make_engine(1, 8, 6, 3, AlphabetSet::man());
-  ServerOptions zero_batch;
-  zero_batch.max_batch = 0;
-  EXPECT_THROW(InferenceServer(engine, zero_batch), std::invalid_argument);
-  ServerOptions negative_wait;
-  negative_wait.max_wait = -1us;
-  EXPECT_THROW(InferenceServer(engine, negative_wait), std::invalid_argument);
-}
-
-TEST(InferenceServer, RejectsEmptyAndRaggedRequests) {
-  const FixedNetwork engine = make_engine(2, 8, 6, 3, AlphabetSet::man());
-  InferenceServer server(engine);
-  EXPECT_THROW((void)server.submit({}), std::invalid_argument);
-  std::vector<float> ragged(engine.input_size() + 1, 0.5f);
-  EXPECT_THROW((void)server.submit(ragged), std::invalid_argument);
-}
-
-// A deadline already in the past is a flush-now hint, not a drop: the
-// request is still served, promptly and correctly.
-TEST(InferenceServer, ExpiredDeadlineIsServedImmediately) {
-  const FixedNetwork engine = make_engine(3, 8, 6, 3, AlphabetSet::two());
-  ServerOptions options;
-  options.max_batch = 64;      // far from full
-  options.max_wait = 10s;      // default deadline would be far away
-  InferenceServer server(engine, options);
-
-  const auto pixels = random_samples(1, engine.input_size(), 30);
-  auto future = server.submit(
-      pixels, InferenceServer::Clock::now() - 1s);
-  ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
-  const InferenceResult result = future.get();
-  EXPECT_EQ(result.samples, 1u);
-  EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
+  EXPECT_THROW(InferenceServer(engine, batching_config(0, 500us)),
+               std::invalid_argument);
+  EXPECT_THROW(InferenceServer(engine, batching_config(64, -1us)),
+               std::invalid_argument);
 }
 
 // A request larger than max_batch is never split or rejected: it is
 // dispatched alone as one oversized batch.
 TEST(InferenceServer, OversizedRequestDispatchedWhole) {
   const FixedNetwork engine = make_engine(4, 8, 6, 3, AlphabetSet::two());
-  ServerOptions options;
-  options.max_batch = 4;
-  options.max_wait = 1ms;
-  InferenceServer server(engine, options);
+  InferenceServer server(engine, batching_config(4, 1ms));
 
   const std::size_t count = 11;  // ~3x max_batch
   const auto pixels = random_samples(count, engine.input_size(), 31);
-  const InferenceResult result = server.submit(pixels).get();
+  const InferenceResult result = submit_pixels(server, pixels).get();
 
+  EXPECT_EQ(result.status, Status::kOk);
   EXPECT_EQ(result.samples, count);
   EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
   const auto metrics = server.metrics();
@@ -137,21 +131,19 @@ TEST(InferenceServer, OversizedRequestDispatchedWhole) {
   EXPECT_EQ(metrics.largest_batch, count);
 }
 
-// Filling the queue to max_batch flushes without waiting for the
-// deadline: with a 1-hour deadline, completion at all proves the
-// size trigger.
-TEST(InferenceServer, FullBatchFlushesBeforeDeadline) {
+// Filling the queue to max_batch flushes without waiting out
+// max_wait: with a 1-hour wait, completion at all proves the size
+// trigger.
+TEST(InferenceServer, FullBatchFlushesBeforeMaxWait) {
   const FixedNetwork engine = make_engine(5, 8, 6, 3, AlphabetSet::man());
-  ServerOptions options;
-  options.max_batch = 8;
-  options.max_wait = 1h;
-  InferenceServer server(engine, options);
+  const ServeConfig config = batching_config(8, 1h);
+  InferenceServer server(engine, config);
 
   std::vector<std::future<InferenceResult>> pending;
   std::vector<std::vector<float>> inputs;
-  for (std::size_t i = 0; i < options.max_batch; ++i) {
+  for (std::size_t i = 0; i < config.max_batch; ++i) {
     inputs.push_back(random_samples(1, engine.input_size(), 100 + i));
-    pending.push_back(server.submit(inputs.back()));
+    pending.push_back(submit_pixels(server, inputs.back()));
   }
   for (std::size_t i = 0; i < pending.size(); ++i) {
     ASSERT_EQ(pending[i].wait_for(30s), std::future_status::ready) << i;
@@ -159,78 +151,77 @@ TEST(InferenceServer, FullBatchFlushesBeforeDeadline) {
   }
   const auto metrics = server.metrics();
   EXPECT_GE(metrics.size_flushes, 1u);
-  EXPECT_EQ(metrics.samples, options.max_batch);
+  EXPECT_EQ(metrics.samples, config.max_batch);
 }
 
-// A lone request in a huge-batch server is released by its deadline.
-TEST(InferenceServer, DeadlineFlushesPartialBatch) {
+// A lone request in a huge-batch server is released by max_wait.
+TEST(InferenceServer, MaxWaitFlushesPartialBatch) {
   const FixedNetwork engine = make_engine(6, 8, 6, 3, AlphabetSet::man());
-  ServerOptions options;
-  options.max_batch = 1u << 20;
-  options.max_wait = 2ms;
-  InferenceServer server(engine, options);
+  InferenceServer server(engine, batching_config(1u << 20, 2ms));
 
   const auto pixels = random_samples(1, engine.input_size(), 40);
-  auto future = server.submit(pixels);
+  auto future = submit_pixels(server, pixels);
   ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
   EXPECT_EQ(future.get().raw, sequential_raw(engine, pixels));
   EXPECT_GE(server.metrics().deadline_flushes, 1u);
 }
 
-// Regression: explicit deadlines need not arrive in order. A
-// newcomer with a tight deadline must flush the queue even though the
-// front request could wait an hour.
+// Regression: flush deadlines need not arrive in order. A newcomer
+// whose hard deadline falls inside the co-batching window must flush
+// the queue at once — even though the front request could wait an
+// hour — and be served, not expired at its own deadline.
 TEST(InferenceServer, EarlierDeadlineDeepInQueueTriggersFlush) {
   const FixedNetwork engine = make_engine(9, 8, 6, 3, AlphabetSet::man());
-  ServerOptions options;
-  options.max_batch = 1u << 20;  // size never triggers
-  options.max_wait = 1h;
-  InferenceServer server(engine, options);
+  InferenceServer server(engine, batching_config(1u << 20, 1h));
 
   const auto patient_pixels = random_samples(1, engine.input_size(), 60);
   const auto urgent_pixels = random_samples(1, engine.input_size(), 61);
-  auto patient = server.submit(patient_pixels,
-                               InferenceServer::Clock::now() + 1h);
-  auto urgent = server.submit(urgent_pixels,
-                              InferenceServer::Clock::now() + 2ms);
+  auto patient = submit_pixels(server, patient_pixels);
+  auto urgent = submit_pixels(server, urgent_pixels,
+                              InferenceRequest::Clock::now() + 5s);
 
   // The urgent deadline releases both: batches close oldest-first, so
   // the patient request ships in the same flush.
   ASSERT_EQ(urgent.wait_for(30s), std::future_status::ready);
   ASSERT_EQ(patient.wait_for(30s), std::future_status::ready);
-  EXPECT_EQ(urgent.get().raw, sequential_raw(engine, urgent_pixels));
+  const InferenceResult urgent_result = urgent.get();
+  EXPECT_EQ(urgent_result.status, Status::kOk);
+  EXPECT_EQ(urgent_result.raw, sequential_raw(engine, urgent_pixels));
   EXPECT_EQ(patient.get().raw, sequential_raw(engine, patient_pixels));
-  EXPECT_GE(server.metrics().deadline_flushes, 1u);
+  const auto metrics = server.metrics();
+  EXPECT_GE(metrics.deadline_flushes, 1u);
+  EXPECT_EQ(metrics.deadline_expired, 0u);
 }
 
 TEST(InferenceServer, ShutdownDrainsPendingAndRejectsNewWork) {
   const FixedNetwork engine = make_engine(7, 8, 6, 3, AlphabetSet::man());
-  ServerOptions options;
-  options.max_batch = 1u << 20;  // only the drain can release these
-  options.max_wait = 1h;
-  InferenceServer server(engine, options);
+  // Only the drain can release these.
+  InferenceServer server(engine, batching_config(1u << 20, 1h));
 
   std::vector<std::future<InferenceResult>> pending;
   std::vector<std::vector<float>> inputs;
   for (int i = 0; i < 5; ++i) {
     inputs.push_back(random_samples(1, engine.input_size(), 200 + i));
-    pending.push_back(server.submit(inputs[static_cast<std::size_t>(i)]));
+    pending.push_back(
+        submit_pixels(server, inputs[static_cast<std::size_t>(i)]));
   }
   server.shutdown();
   for (std::size_t i = 0; i < pending.size(); ++i) {
     ASSERT_EQ(pending[i].wait_for(0s), std::future_status::ready) << i;
     EXPECT_EQ(pending[i].get().raw, sequential_raw(engine, inputs[i])) << i;
   }
-  EXPECT_THROW((void)server.submit(random_samples(1, engine.input_size(), 9)),
-               std::runtime_error);
+  const InferenceResult late =
+      submit_pixels(server, random_samples(1, engine.input_size(), 9)).get();
+  EXPECT_EQ(late.status, Status::kShutdown);
+  EXPECT_EQ(server.metrics().rejected_shutdown, 1u);
   server.shutdown();  // idempotent
 }
 
 TEST(InferenceServer, PredictionsUseSharedArgmax) {
   const FixedNetwork engine = make_engine(8, 8, 6, 3, AlphabetSet::two());
-  InferenceServer server(engine);
+  InferenceServer server(engine, ServeConfig{});
   const auto pixels = random_samples(6, engine.input_size(), 50);
-  const InferenceResult result = server.submit(pixels).get();
+  const InferenceResult result = submit_pixels(server, pixels).get();
   ASSERT_EQ(result.predictions.size(), 6u);
   for (std::size_t s = 0; s < result.samples; ++s) {
     EXPECT_EQ(result.predictions[s],
@@ -240,6 +231,19 @@ TEST(InferenceServer, PredictionsUseSharedArgmax) {
   }
   // Served activity is visible through the stats snapshot.
   EXPECT_EQ(server.stats().inferences, 6u);
+}
+
+// A result is delivered only once its batch shows in stats() and
+// metrics(): a caller holding the result finds it counted.
+TEST(InferenceServer, ResultIsCountedBeforeDelivery) {
+  const FixedNetwork engine = make_engine(12, 8, 6, 3, AlphabetSet::man());
+  InferenceServer server(engine, batching_config(1, 500us));
+  for (std::uint64_t i = 1; i <= 1000; ++i) {
+    const auto pixels = random_samples(1, engine.input_size(), 300 + i);
+    ASSERT_TRUE(submit_pixels(server, pixels).get().ok()) << i;
+    ASSERT_EQ(server.stats().inferences, i);
+    ASSERT_EQ(server.metrics().tier_samples.at(0), i);
+  }
 }
 
 // Acceptance: two models ("digit" 16->4 and "face" 25->2) served from
@@ -255,14 +259,12 @@ TEST_P(MixedTrafficBitIdentity, ServerMatchesSequentialEngine) {
   const FixedNetwork face = make_engine(11, 25, 6, 2, AlphabetSet::man());
 
   const auto pool = std::make_shared<ThreadPool>(workers);
-  ServerOptions options;
-  options.max_batch = 16;
-  options.max_wait = 200us;
-  options.batch.workers = workers;
-  options.batch.pool = pool;
-  options.batch.min_samples_per_worker = 1;
-  InferenceServer digit_server(digit, options);
-  InferenceServer face_server(face, options);
+  ServeConfig config = batching_config(16, 200us);
+  config.workers = workers;
+  config.pool = pool;
+  config.min_samples_per_worker = 1;
+  InferenceServer digit_server(digit, config);
+  InferenceServer face_server(face, config);
 
   struct Exchange {
     const FixedNetwork* engine;
@@ -287,7 +289,7 @@ TEST_P(MixedTrafficBitIdentity, ServerMatchesSequentialEngine) {
         const std::size_t count = 1 + rng.next_below(3);  // 1..3 samples
         std::vector<float> pixels(count * engine.input_size());
         for (float& p : pixels) p = static_cast<float>(rng.next_double());
-        auto future = server.submit(pixels);
+        auto future = submit_pixels(server, pixels);
         log.push_back(Exchange{&engine, std::move(pixels), future.get()});
       }
     });

@@ -1,8 +1,8 @@
 // The typed serving API: ServeConfig validation, the Status
 // vocabulary and its HTTP mapping, and every non-kOk path through the
 // typed InferenceServer submit (kBadRequest / kRejectedOverload /
-// kDeadlineExceeded / kShutdown) — none of which throws, unlike the
-// deprecated legacy submit whose throw semantics are pinned here too.
+// kDeadlineExceeded / kShutdown) — none of which throws — and the
+// near-deadline flush rule.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -110,21 +110,6 @@ TEST(ServeConfig, ConstructorValidates) {
   EXPECT_THROW(InferenceServer(engine, config), std::invalid_argument);
 }
 
-// The legacy options map onto an effectively unbounded queue so no
-// pre-typed-API call site can suddenly see admission rejections.
-TEST(ServeConfig, LegacyOptionsMapToUnboundedishQueue) {
-  ServerOptions options;
-  options.max_batch = 1u << 22;
-  options.max_wait = 7ms;
-  options.batch.workers = 3;
-  const ServeConfig config = options.to_config();
-  EXPECT_EQ(config.max_batch, options.max_batch);
-  EXPECT_EQ(config.max_wait, options.max_wait);
-  EXPECT_EQ(config.workers, 3);
-  EXPECT_GE(config.queue_capacity, options.max_batch);
-  EXPECT_NO_THROW(config.validate());
-}
-
 TEST(TypedSubmit, ServesWithFullResultMetadata) {
   const FixedNetwork engine = make_engine(2, 8, 6, 3);
   ServeConfig config;
@@ -149,7 +134,7 @@ TEST(TypedSubmit, ServesWithFullResultMetadata) {
 // Typed path: malformed payloads resolve kBadRequest — no throw.
 TEST(TypedSubmit, BadPayloadResolvesBadRequest) {
   const FixedNetwork engine = make_engine(3, 8, 6, 3);
-  InferenceServer server(engine);
+  InferenceServer server(engine, ServeConfig{});
 
   InferenceRequest empty;
   const InferenceResult empty_result = server.submit(std::move(empty)).get();
@@ -182,8 +167,8 @@ TEST(TypedSubmit, OverloadRejectionIsImmediateWithRetryAfter) {
   EXPECT_EQ(server.metrics().rejected_overload, 1u);
 }
 
-// An expired hard deadline on the typed path is a real drop (unlike
-// the legacy flush-hint deadline, pinned below).
+// An expired hard deadline is a real drop: the request never reaches
+// compute.
 TEST(TypedSubmit, ExpiredHardDeadlineResolvesDeadlineExceeded) {
   const FixedNetwork engine = make_engine(5, 8, 6, 3);
   ServeConfig config;
@@ -201,22 +186,31 @@ TEST(TypedSubmit, ExpiredHardDeadlineResolvesDeadlineExceeded) {
   EXPECT_EQ(server.metrics().deadline_expired, 1u);
 }
 
-TEST(TypedSubmit, LegacyExpiredDeadlineIsStillServed) {
+// A deadline that falls inside the co-batching window flushes the
+// queue at once, so an idle server serves the request rather than
+// waking at the deadline and expiring it.
+TEST(TypedSubmit, DeadlineInsideMaxWaitFlushesAtOnce) {
   const FixedNetwork engine = make_engine(6, 8, 6, 3);
-  ServerOptions options;
-  options.max_wait = 10s;
-  InferenceServer server(engine, options);
+  ServeConfig config;
+  config.max_wait = 10s;
+  InferenceServer server(engine, config);
 
-  const auto pixels = random_samples(1, engine.input_size(), 11);
-  const InferenceResult result =
-      server.submit(pixels, InferenceServer::Clock::now() - 1s).get();
-  EXPECT_EQ(result.status, Status::kOk);
-  EXPECT_EQ(result.raw, sequential_raw(engine, pixels));
+  InferenceRequest request;
+  request.payload = random_samples(1, engine.input_size(), 11);
+  const auto expected = sequential_raw(engine, request.payload);
+  request.deadline = InferenceRequest::Clock::now() + 2s;
+  auto future = server.submit(std::move(request));
+  ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
+  const InferenceResult result = future.get();
+  EXPECT_EQ(result.status, Status::kOk) << result.message;
+  EXPECT_EQ(result.raw, expected);
+  EXPECT_EQ(server.metrics().deadline_expired, 0u);
+  EXPECT_EQ(server.metrics().deadline_flushes, 1u);
 }
 
-TEST(TypedSubmit, ShutdownResolvesStatusButLegacyThrows) {
+TEST(TypedSubmit, ShutdownResolvesShutdownStatus) {
   const FixedNetwork engine = make_engine(7, 8, 6, 3);
-  InferenceServer server(engine);
+  InferenceServer server(engine, ServeConfig{});
   server.shutdown();
 
   InferenceRequest request;
@@ -224,9 +218,6 @@ TEST(TypedSubmit, ShutdownResolvesStatusButLegacyThrows) {
   EXPECT_EQ(server.submit(std::move(request)).get().status,
             Status::kShutdown);
   EXPECT_EQ(server.metrics().rejected_shutdown, 1u);
-
-  const auto pixels = random_samples(1, engine.input_size(), 13);
-  EXPECT_THROW((void)server.submit(pixels), std::runtime_error);
 }
 
 // submit_async: rejections call back inline, successes from the
