@@ -56,6 +56,20 @@ std::span<const KernelBackend* const> all_backends() {
   return backends;
 }
 
+const detail::VectorKernels& detail::vector_backend(BackendKind kind) {
+  if (kind == BackendKind::kSimd) return simd_backend();
+  if (kind == BackendKind::kAvx512) return avx512_backend();
+  throw std::invalid_argument("vector_backend: not a vector BackendKind");
+}
+
+bool detail::conv_run_shaped(BackendKind kind, const ConvLayerPlan& plan,
+                             const std::int32_t* multiples, std::int64_t* out,
+                             const ConvTileShape& shape) {
+  if (kind != BackendKind::kSimd && kind != BackendKind::kAvx512) return false;
+  return vector_backend(kind).accumulate_conv_shaped(plan, multiples, out,
+                                                     shape);
+}
+
 BackendKind detect_best_backend() {
   if (detail::avx512_backend().accelerated()) return BackendKind::kAvx512;
   return detail::simd_backend().accelerated() ? BackendKind::kSimd

@@ -43,13 +43,6 @@ constexpr std::size_t kMinPositions = 32;
 
 using Clock = std::chrono::steady_clock;
 
-/// int32 lanes of one ymm (AVX2) and one zmm (AVX-512) column group.
-constexpr int kAvx2Lanes = 8;
-constexpr int kAvx512Lanes = 16;
-
-using ShapedRun = bool (*)(const ConvLayerPlan&, const std::int32_t*,
-                           std::int64_t*, const ConvTileShape&);
-
 [[nodiscard]] bool valid_shape(const ConvTileShape& shape) {
   if (shape.weight_stationary) return true;
   return shape.row_tile >= 1 && shape.row_tile <= kMaxConvRowTile &&
@@ -57,13 +50,15 @@ using ShapedRun = bool (*)(const ConvLayerPlan&, const std::int32_t*,
 }
 
 /// Best-of-3 average time of `iters` kernel passes, in nanoseconds.
-double measure(ShapedRun run, const ConvLayerPlan& plan,
+double measure(BackendKind kind, const ConvLayerPlan& plan,
                const std::int32_t* multiples, std::int64_t* out,
                const ConvTileShape& shape, int iters) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
     const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) (void)run(plan, multiples, out, shape);
+    for (int i = 0; i < iters; ++i) {
+      (void)detail::conv_run_shaped(kind, plan, multiples, out, shape);
+    }
     const auto t1 = Clock::now();
     const double ns =
         static_cast<double>(
@@ -87,16 +82,17 @@ ConvTileShape effective_shape(const ConvTileShape& shape,
   return effective;
 }
 
-ConvTileShape tune_isa(ShapedRun run, const ConvLayerPlan& plan, int lanes,
+ConvTileShape tune_isa(BackendKind kind, const ConvLayerPlan& plan, int lanes,
                        const std::int32_t* multiples, std::int64_t* out) {
   // Calibrate the repetition count off one warm default-shape pass so
   // small plans average enough runs to beat timer noise while big
   // plans stay cheap (the whole sweep targets low single-digit
   // milliseconds per plan per ISA).
   const ConvTileShape probe{};
-  (void)run(plan, multiples, out, probe);  // warm caches + branch state
+  // Warm caches + branch state.
+  (void)detail::conv_run_shaped(kind, plan, multiples, out, probe);
   const double probe_ns =
-      measure(run, plan, multiples, out, probe, /*iters=*/1);
+      measure(kind, plan, multiples, out, probe, /*iters=*/1);
   const int iters = static_cast<int>(
       std::clamp(200000.0 / std::max(probe_ns, 1000.0), 1.0, 64.0));
   ConvTileShape winner = probe;
@@ -111,7 +107,7 @@ ConvTileShape tune_isa(ShapedRun run, const ConvLayerPlan& plan, int lanes,
     };
     if (std::any_of(measured.begin(), measured.end(), same)) continue;
     measured.push_back(effective);
-    const double ns = measure(run, plan, multiples, out, shape, iters);
+    const double ns = measure(kind, plan, multiples, out, shape, iters);
     if (ns < winner_ns) {
       winner_ns = ns;
       winner = shape;
@@ -163,9 +159,12 @@ void autotune_conv_plan(ConvLayerPlan& plan) {
     return;
   }
   if (plan.positions() < kMinPositions) return;
-  const bool avx2 = detail::simd_backend().accelerated();
-  const bool avx512 = detail::avx512_backend().accelerated();
-  if (!avx2 && !avx512) return;
+  std::vector<const detail::VectorKernels*> live;
+  for (const BackendKind kind : {BackendKind::kSimd, BackendKind::kAvx512}) {
+    const detail::VectorKernels& backend = detail::vector_backend(kind);
+    if (backend.accelerated()) live.push_back(&backend);
+  }
+  if (live.empty()) return;
 
   // Synthetic staging buffer: kernel time depends on the plan
   // geometry, not the staged values, so any small integers do. The
@@ -177,13 +176,9 @@ void autotune_conv_plan(ConvLayerPlan& plan) {
   std::vector<std::int64_t> out(static_cast<std::size_t>(plan.oc) *
                                 plan.positions());
 
-  if (avx2) {
-    plan.tile_avx2 = tune_isa(&detail::conv_run_shaped_avx2, plan,
-                              kAvx2Lanes, multiples.data(), out.data());
-  }
-  if (avx512) {
-    plan.tile_avx512 = tune_isa(&detail::conv_run_shaped_avx512, plan,
-                                kAvx512Lanes, multiples.data(), out.data());
+  for (const detail::VectorKernels* backend : live) {
+    backend->tile(plan) = tune_isa(backend->kind(), plan, backend->lanes(),
+                                   multiples.data(), out.data());
   }
   plan.tiles_tuned = true;
 }

@@ -1,8 +1,9 @@
 // Multi-backend quartet accumulation: the inner MAC loop of the
 // fixed-point engine abstracted behind a KernelBackend interface, so
 // the same compiled DenseLayerPlan can run on the extracted scalar
-// reference, an auto-vectorizable blocked-scalar kernel, or explicit
-// AVX2/AVX-512 SIMD kernels — all under one bit-exactness contract
+// reference, an auto-vectorizable blocked-scalar kernel, or one
+// family of explicit vector kernels instantiated at AVX2 and AVX-512
+// width — all under one bit-exactness contract
 // (every backend must produce accumulators identical to the scalar
 // reference; the Fig 9 replay gate enforces this in CI). The ASM
 // kernels read int32 staged multiples and form their sums in int32
@@ -31,11 +32,12 @@ namespace man::backend {
 enum class BackendKind {
   kScalar,   ///< extracted reference loop over the AoS schedule
   kBlocked,  ///< branch-free blocked-scalar loop over the SoA planes
-  kSimd,     ///< AVX2 intrinsics (portable plane loop when not compiled
-             ///< with AVX2 or the CPU lacks it)
-  kAvx512,   ///< AVX-512F/VL intrinsics, 16-lane position tiles
-             ///< (portable plane loop when not compiled with AVX-512
-             ///< or the CPU lacks it)
+  kSimd,     ///< the vector kernels at 8 int32 lanes of AVX2 (the
+             ///< blocked kernels when AVX2 is compiled out or the CPU
+             ///< lacks it)
+  kAvx512,   ///< the same vector kernels at 16 int32 lanes of
+             ///< AVX-512F/VL (the blocked kernels when AVX-512 is
+             ///< compiled out or the CPU lacks it)
 };
 
 /// Widest tile of samples the batch-as-lanes dense kernel runs at
@@ -61,9 +63,10 @@ class KernelBackend {
   /// Human-readable variant description (e.g. which SIMD path is
   /// live on this CPU/build).
   [[nodiscard]] virtual const char* description() const noexcept = 0;
-  /// True when this backend runs its accelerated code path (the SIMD
-  /// backend reports false when it falls back to the portable loop).
-  /// Every registered backend is always *runnable*.
+  /// True when this backend runs its accelerated code path (a vector
+  /// backend reports false when its ISA path is not live and it runs
+  /// the blocked kernels). Every registered backend is always
+  /// *runnable*.
   [[nodiscard]] virtual bool accelerated() const noexcept = 0;
 
   /// ASM quartet accumulation for one dense stage:
@@ -144,7 +147,8 @@ class KernelBackend {
 [[nodiscard]] const KernelBackend& backend_for(BackendKind kind);
 
 /// Every registered backend (all four kinds are always registered;
-/// the SIMD/AVX-512 entries may be running their portable fallback).
+/// the simd/avx512 entries run the blocked kernels under their own
+/// names when their ISA path is not live).
 [[nodiscard]] std::span<const KernelBackend* const> all_backends();
 
 /// Best backend for this CPU/build: AVX-512 when its accelerated path

@@ -1,9 +1,10 @@
 // Conv register-blocking tiles: every candidate tile shape (forced
-// via MAN_CONV_TILE) must reproduce the scalar reference bit for bit
-// through the vector backends, the compile-time autotuner must record
-// its per-ISA winners on the plan (and skip geometries too small to
-// time), and malformed MAN_CONV_TILE values must fail loudly at
-// engine construction — the same surface the CI matrix sweeps.
+// via MAN_CONV_TILE, or run through the shaped entry point) must
+// reproduce the scalar reference bit for bit through the vector
+// backends, the compile-time autotuner must record its per-ISA
+// winners on the plan (and skip geometries too small to time), and
+// malformed MAN_CONV_TILE values must fail loudly at engine
+// construction — the same surface the CI matrix sweeps.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -137,9 +138,23 @@ TEST(ConvTileShapes, ForcedShapeIsRecordedOnEveryPlan) {
   EXPECT_TRUE(ws_engine.conv_plans()[0].tile_avx512.weight_stationary);
 }
 
+/// Synthetic lane-major staging for `plan`: small nonzero multiples
+/// and a genuinely zero region, as the autotuner stages them.
+std::vector<std::int32_t> synthetic_multiples(const ConvLayerPlan& plan) {
+  std::vector<std::int32_t> multiples(plan.padded_multiples(), 0);
+  for (std::size_t i = 0; i < plan.zero_base; ++i) {
+    multiples[i] = static_cast<std::int32_t>(i % 251) - 125;
+  }
+  return multiples;
+}
+
+constexpr BackendKind kVectorKinds[] = {BackendKind::kSimd,
+                                        BackendKind::kAvx512};
+
 // With no override, compile_plan() runs the microbench: plans above
 // the size threshold come out tuned on hosts where a vector kernel is
-// live, and whatever won must be a shape the kernels can dispatch.
+// live, and whatever won must be a shape the kernels can dispatch and
+// that the shaped entry point runs bit-identically.
 TEST(ConvTileShapes, AutotunerRecordsValidWinnersPerIsa) {
   TileEnvGuard guard;
   guard.unset();
@@ -150,22 +165,68 @@ TEST(ConvTileShapes, AutotunerRecordsValidWinnersPerIsa) {
   const ConvLayerPlan& plan = engine.conv_plans()[0];
   ASSERT_GE(plan.positions(), 32u);
 
-  const bool avx2 = detail::simd_backend().accelerated();
-  const bool avx512 = detail::avx512_backend().accelerated();
-  if (!avx2 && !avx512) {
-    EXPECT_FALSE(plan.tiles_tuned);
-    GTEST_SKIP() << "no vector kernel live on this build/CPU";
+  const auto multiples = synthetic_multiples(plan);
+  std::vector<std::int64_t> reference(plan.oc * plan.positions());
+  backend_for(BackendKind::kScalar)
+      .accumulate_conv(plan, multiples.data(), reference.data());
+  bool any_live = false;
+  for (const BackendKind kind : kVectorKinds) {
+    const detail::VectorKernels& backend = detail::vector_backend(kind);
+    if (!backend.accelerated()) continue;
+    any_live = true;
+    const ConvTileShape tile =
+        kind == BackendKind::kSimd ? plan.tile_avx2 : plan.tile_avx512;
+    if (!tile.weight_stationary) {
+      EXPECT_GE(tile.row_tile, 1) << backend.name();
+      EXPECT_LE(tile.row_tile, kMaxConvRowTile) << backend.name();
+      EXPECT_GE(tile.col_vecs, 1) << backend.name();
+      EXPECT_LE(tile.col_vecs, kMaxConvColVecs) << backend.name();
+    }
+    std::vector<std::int64_t> out(reference.size());
+    ASSERT_TRUE(detail::conv_run_shaped(kind, plan, multiples.data(),
+                                        out.data(), tile));
+    EXPECT_EQ(out, reference) << backend.name() << " tile=" << to_string(tile);
   }
-  EXPECT_TRUE(plan.tiles_tuned);
-  const auto check = [](const ConvTileShape& tile) {
-    if (tile.weight_stationary) return;
-    EXPECT_GE(tile.row_tile, 1);
-    EXPECT_LE(tile.row_tile, kMaxConvRowTile);
-    EXPECT_GE(tile.col_vecs, 1);
-    EXPECT_LE(tile.col_vecs, kMaxConvColVecs);
-  };
-  if (avx2) check(plan.tile_avx2);
-  if (avx512) check(plan.tile_avx512);
+  EXPECT_EQ(plan.tiles_tuned, any_live);
+  if (!any_live) GTEST_SKIP() << "no vector kernel live on this build/CPU";
+}
+
+// The shaped conv entry point: on a live vector backend every
+// candidate shape runs and matches the scalar reference; a kind whose
+// accelerated path is not live (compiled out, CPU without the ISA, or
+// a non-vector kind) returns false and leaves `out` untouched.
+TEST(ConvTileShapes, ShapedEntryPointRunsOnlyLiveVectorPaths) {
+  TileEnvGuard guard;
+  guard.set("default");
+  Network net = make_wide_cnn(75);
+  FixedNetwork engine = make_engine(net, QuantSpec::bits8(),
+                                    AlphabetSet::four());
+  const ConvLayerPlan& plan = engine.conv_plans()[0];
+  const auto multiples = synthetic_multiples(plan);
+  std::vector<std::int64_t> reference(plan.oc * plan.positions());
+  backend_for(BackendKind::kScalar)
+      .accumulate_conv(plan, multiples.data(), reference.data());
+
+  constexpr std::int64_t kSentinel = 0x5eed5eed5eedLL;
+  for (const KernelBackend* backend : all_backends()) {
+    const BackendKind kind = backend->kind();
+    const bool live = (kind == BackendKind::kSimd ||
+                       kind == BackendKind::kAvx512) &&
+                      backend->accelerated();
+    for (const ConvTileShape& shape : conv_tile_candidates()) {
+      std::vector<std::int64_t> out(reference.size(), kSentinel);
+      const bool ran = detail::conv_run_shaped(kind, plan, multiples.data(),
+                                               out.data(), shape);
+      EXPECT_EQ(ran, live) << backend->name() << " " << to_string(shape);
+      if (live) {
+        EXPECT_EQ(out, reference) << backend->name() << " "
+                                  << to_string(shape);
+      } else {
+        EXPECT_EQ(out, std::vector<std::int64_t>(out.size(), kSentinel))
+            << backend->name() << " " << to_string(shape);
+      }
+    }
+  }
 }
 
 // Geometries under the threshold keep the kernel defaults — the
